@@ -110,6 +110,16 @@ grep -q '"pool"' "${POOL_SMOKE}/a/out/pooling_sweep.stats.json"
 "${BUILD_DIR}/tools/statdiff" --rtol 1e-9 --rtol 'pool/*=0' \
   "${POOL_SMOKE}/a/out/pooling_sweep.stats.json" \
   "${POOL_SMOKE}/b/out/pooling_sweep.stats.json"
+# Pump comparison: the per-cycle reference (COAXIAL_TICK_EVERY_CYCLE=1) must
+# reproduce the event-driven document with pool/* exact, so a wake that
+# fires late fails CI on the bench configs too, not only in the unit tests.
+mkdir -p "${POOL_SMOKE}/tick"
+(cd "${POOL_SMOKE}/tick" &&
+ COAXIAL_TICK_EVERY_CYCLE=1 COAXIAL_STATS_JSON=1 COAXIAL_INSTR=10000 \
+   COAXIAL_WARMUP=2000 "${BENCH_POOL}" > bench_pooling.log)
+"${BUILD_DIR}/tools/statdiff" --rtol 1e-9 --rtol 'pool/*=0' \
+  "${POOL_SMOKE}/a/out/pooling_sweep.stats.json" \
+  "${POOL_SMOKE}/tick/out/pooling_sweep.stats.json"
 
 echo "=== availability smoke ==="
 # Run the device-failure availability bench twice at a small budget and

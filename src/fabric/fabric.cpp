@@ -117,6 +117,7 @@ link::SendResult Fabric::send_tx(std::uint32_t dev, std::uint32_t bytes, Cycle n
   const std::uint32_t port = topo_.root_port_of(dev);
   const link::SendResult ready = host_tx_[port]->send(bytes, now);
   root_down_->enqueue(port, {ready.at, dev, bytes, payload, ready.poisoned});
+  sent_wake_ = std::min(sent_wake_, ready.at);
   return {kNoCycle, false};
 }
 
@@ -134,6 +135,7 @@ link::SendResult Fabric::send_rx(std::uint32_t dev, std::uint32_t bytes, Cycle n
   if (direct()) return direct_links_[dev]->send_rx(bytes, now);
   const link::SendResult ready = dev_up_[dev]->send(bytes, now);
   const FabricMsg msg{ready.at, dev, bytes, payload, ready.poisoned};
+  sent_wake_ = std::min(sent_wake_, ready.at);
   if (cfg_.kind == TopologyKind::kTree) {
     leaf_up_[leaf_of(dev)]->enqueue(leaf_port_of(dev), msg);
   } else {
@@ -154,6 +156,7 @@ Cycle Fabric::rx_credit_cycle(std::uint32_t dev, Cycle now) const {
 Cycle Fabric::tick(Cycle now) {
   if (direct()) return kNoCycle;
   COAXIAL_PROF_SCOPE(kFabricArb);
+  sent_wake_ = kNoCycle;  // Everything queued so far is in this tick's bound.
   Cycle wake = kNoCycle;
   const bool tree = cfg_.kind == TopologyKind::kTree;
 

@@ -93,6 +93,11 @@ class Fabric {
   /// tx_deliveries()/rx_deliveries(); returns a conservative wake bound.
   /// Direct fabrics have no buffered state and return kNoCycle.
   Cycle tick(Cycle now);
+  /// Earliest switch-ingress arrival of the messages sent since the last
+  /// tick() (kNoCycle if none, and always for direct fabrics). tick()'s
+  /// bound covers what was queued when it ran; this covers what a caller
+  /// sent after it, so a caller's own wake can stay exact.
+  Cycle sent_wake() const { return sent_wake_; }
   std::vector<Delivery>& tx_deliveries() { return tx_out_; }
   std::vector<Delivery>& rx_deliveries() { return rx_out_; }
 
@@ -129,6 +134,7 @@ class Fabric {
   std::vector<std::unique_ptr<Switch>> leaf_down_, leaf_up_;
 
   std::vector<Delivery> tx_out_, rx_out_;
+  Cycle sent_wake_ = kNoCycle;
 };
 
 }  // namespace coaxial::fabric

@@ -487,6 +487,15 @@ Cycle PooledMemory::tick(Cycle now) {
   for (std::uint32_t h = 0; h < n_hosts_; ++h) {
     wake = std::min(wake, host_tick(h, now));
   }
+  // Acks the host pass just sent land after the pool pump computed its
+  // wake; their arrivals are the events that retire invalidations. Likewise
+  // messages put on a switched fabric after its tick above.
+  for (const DevAck& a : dev_acks_) {
+    wake = std::min(wake, std::max(a.arrival, now + 1));
+  }
+  for (const auto& f : fab_) {
+    wake = std::min(wake, std::max(f->sent_wake(), now + 1));
+  }
   return wake;
 }
 
@@ -536,25 +545,32 @@ Cycle PooledMemory::pool_tick(Cycle now) {
       // gone (fail_reset — no unlock) and the parked access has nowhere
       // to go. Recovery rounds park nothing.
       if (!x.recovery) bounce_msg(x.park_host, x.parked, now);
-      x.live = false;
-      --txns_per_dev_[x.sdev];
-      --live_txns_;
-      free_txns_.push_back(t);
-      continue;
+    } else {
+      dram::Controller& ctrl = *shared_ctrls_[x.park_sub];
+      if (!ctrl.can_accept(x.parked.is_write)) {
+        ++blocks_.ctrl_parked;
+        continue;
+      }
+      admit_shared(ctrl, x.parked, x.park_host, now);
+      dirs_[x.sdev]->unlock(x.page);
     }
-    dram::Controller& ctrl = *shared_ctrls_[x.park_sub];
-    if (!ctrl.can_accept(x.parked.is_write)) continue;
-    admit_shared(ctrl, x.parked, x.park_host, now);
-    shared_wake_[x.park_sub] = std::min(shared_wake_[x.park_sub], now);
-    dirs_[x.sdev]->unlock(x.page);
     x.live = false;
     --txns_per_dev_[x.sdev];
     --live_txns_;
     free_txns_.push_back(t);
+    // A finished transaction is the only event that reopens the txn-table
+    // gate, releases a directory lock or makes an eviction victim
+    // available: arm the device's sub-channels so phase D retries their
+    // blocked heads later in this same tick.
+    for (std::uint32_t sub = x.sdev * spd_; sub < (x.sdev + 1) * spd_; ++sub) {
+      shared_wake_[sub] = std::min(shared_wake_[sub], now);
+    }
   }
 
   // -- Phase D: pooled sub-channels — recall writebacks, merged admission
-  //    through the directory, DRAM tick, completions. ---------------------
+  //    through the directory, DRAM tick, completions. A sub runs when its
+  //    wake is due; what stays blocked wakes at its own event (see the
+  //    wake computation after the controller tick). ----------------------
   for (std::uint32_t sub = 0; sub < s_subs_; ++sub) {
     if (!force_tick_ && shared_wake_[sub] > now) {
       wake = std::min(wake, shared_wake_[sub]);
@@ -562,16 +578,17 @@ Cycle PooledMemory::pool_tick(Cycle now) {
     }
     dram::Controller& ctrl = *shared_ctrls_[sub];
     const std::uint32_t dev = sub / spd_;
-    bool wb_waiting = false;
     {
       // Recall data takes priority over new admissions, FIFO per sub.
       std::size_t kept = 0;
       bool blocked = false;
       for (std::size_t i = 0; i < pending_wbs_.size(); ++i) {
         const PendingWb w = pending_wbs_[i];
-        if (w.sub != sub || blocked || !ctrl.can_accept(true)) {
-          blocked = blocked || (w.sub == sub);
-          wb_waiting = wb_waiting || (w.sub == sub);
+        if (w.sub == sub && !blocked && !ctrl.can_accept(true)) {
+          blocked = true;
+          ++blocks_.ctrl_wb;
+        }
+        if (w.sub != sub || blocked) {
           pending_wbs_[kept++] = w;
           continue;
         }
@@ -599,13 +616,25 @@ Cycle PooledMemory::pool_tick(Cycle now) {
       if (best == n_hosts_) break;
       auto& q = shared_ingress_[sub][best];
       const DeviceMsg msg = q.front();
-      if (!ctrl.can_accept(msg.is_write)) break;
+      if (!ctrl.can_accept(msg.is_write)) {
+        ++blocks_.ctrl_head;
+        break;
+      }
       // A decision that needs a transaction must be able to start one; gate
       // before access() because the directory transitions state eagerly.
-      if (txns_per_dev_[dev] >= cfg_.directory_max_txns) break;
+      if (txns_per_dev_[dev] >= cfg_.directory_max_txns) {
+        ++blocks_.txn_gate;
+        break;
+      }
+      // A blocked Directory::access() has no side effects (no LRU touch, no
+      // insert, no counter), so retrying it only at the next wake instead
+      // of every cycle cannot change any later decision.
       const Directory::Decision dd = dirs_[dev]->access(msg.page, best, msg.is_write);
       if (dd.blocked) {
-        skipped |= std::uint64_t{1} << best;  // Same-page txn in flight.
+        // Same-page txn in flight, or an insert with every entry locked.
+        ++(dirs_[dev]->find(msg.page) != nullptr ? blocks_.dir_lock
+                                                 : blocks_.dir_evict);
+        skipped |= std::uint64_t{1} << best;
         continue;
       }
       if (dd.evicted) ++ctr_.dir_evictions;
@@ -625,16 +654,22 @@ Cycle PooledMemory::pool_tick(Cycle now) {
       admit_shared(ctrl, msg, best, now);
     }
 
+    // Exact wakes (DESIGN.md §14). A future head wakes at its arrival.
+    // Arrived heads and recall writebacks still queued are blocked, each
+    // until its own event:
+    //  * full controller: the controller frees queue space only by issuing
+    //    a command, and a tick that issues returns now + 1, so the
+    //    controller's own wake covers it;
+    //  * directory lock, txn-table gate, all-locked eviction: only a
+    //    finishing transaction changes these, and phase C arms this sub at
+    //    that cycle.
     Cycle sw = ctrl.tick(now);
     for (std::uint32_t h = 0; h < n_hosts_; ++h) {
       const auto& q = shared_ingress_[sub][h];
-      if (q.empty()) continue;
-      // Future head wakes at its arrival; an arrived-but-blocked head
-      // (controller full, directory lock, txn-table gate) retries next
-      // cycle — conservative but mode-invariant.
-      sw = std::min(sw, q.front().arrival > now ? q.front().arrival : now + 1);
+      if (!q.empty() && q.front().arrival > now) {
+        sw = std::min(sw, q.front().arrival);
+      }
     }
-    if (wb_waiting) sw = std::min(sw, now + 1);
     shared_wake_[sub] = sw;
     wake = std::min(wake, sw);
 
@@ -654,8 +689,23 @@ Cycle PooledMemory::pool_tick(Cycle now) {
     wake = std::min(wake, ship_shared_responses(h, now));
   }
 
-  // -- Wake assembly for the remaining coherence state. -------------------
-  if (live_txns_ != 0 || !pending_wbs_.empty()) wake = std::min(wake, now + 1);
+  // -- Wake assembly for the remaining coherence state. A live transaction
+  //    with unsent invalidations wakes when the target's return path has a
+  //    credit again. A fully acked one still live met a full controller:
+  //    it wakes with that sub, whose wake is already in `wake` (phase D).
+  //    One awaiting acks wakes at their arrival (below, or at the barrier
+  //    that delivers the ack mail). ---------------------------------------
+  if (live_txns_ != 0) {
+    for (const CohTxn& x : txns_) {
+      const std::uint64_t unsent = x.live ? x.send_clean | x.send_dirty : 0;
+      for (std::uint32_t h = 0; h < n_hosts_; ++h) {
+        if ((unsent >> h) & 1) {
+          wake = std::min(wake, std::max(fab_[h]->rx_credit_cycle(x.sdev, now),
+                                         now + 1));
+        }
+      }
+    }
+  }
   for (const DevAck& a : dev_acks_) {
     wake = std::min(wake, std::max(a.arrival, now + 1));
   }

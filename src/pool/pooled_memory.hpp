@@ -22,8 +22,9 @@
 // all state mutates inside access()/tick(); every action is keyed on
 // message arrival cycles and fixed scan orders (sub-channel index, then
 // host index), never on how often tick() was polled; tick() returns a
-// conservative wake bound (any live coherence state wakes at now + 1), so
-// the event-driven and tick-every-cycle schedulers agree bit-for-bit.
+// conservative wake bound (every blocked action wakes at the event that
+// can unblock it — DESIGN.md §14 lists them), so the event-driven and
+// tick-every-cycle schedulers agree bit-for-bit.
 //
 // Sharded engine (DESIGN.md §14). Direct-fabric pools additionally expose
 // the pump split into shard-owned halves so sim::PooledSystem can run them
@@ -78,6 +79,20 @@ struct HostCounters {
   std::uint64_t shared = 0;  ///< Of those, pooled-window accesses.
   std::uint64_t invals_received = 0;
   std::uint64_t acks_sent = 0;
+};
+
+/// Pool-shard blocked-attempt counts, one per reason a shared-device
+/// admission or recall writeback can wait. Diagnostics only: a blocked
+/// attempt is retried at every pump of its sub-channel, so the counts
+/// depend on how often the scheduler polls and are deliberately kept out of
+/// the stats tree. Tests use them to prove each exact-wake path fired.
+struct BlockCounters {
+  std::uint64_t txn_gate = 0;      ///< Head held by directory_max_txns.
+  std::uint64_t dir_lock = 0;      ///< Head's page locked by a transaction.
+  std::uint64_t dir_evict = 0;     ///< Insert found every entry locked.
+  std::uint64_t ctrl_head = 0;     ///< Head met a full DRAM queue.
+  std::uint64_t ctrl_wb = 0;       ///< Recall writeback met a full queue.
+  std::uint64_t ctrl_parked = 0;   ///< Acked txn's access met a full queue.
 };
 
 class PooledMemory {
@@ -153,6 +168,7 @@ class PooledMemory {
   /// Lifetime protocol totals, merged over the owning shards.
   PoolCounters counters() const;
   HostCounters host_counters(std::uint32_t host) const;
+  const BlockCounters& block_counters() const { return blocks_; }
 
  private:
   // One queued device-side message (host identified by the queue index).
@@ -420,6 +436,7 @@ class PooledMemory {
   struct HostAckCtr {  ///< Host-shard writes.
     std::uint64_t invals_received = 0, acks_sent = 0;
   };
+  BlockCounters blocks_;  ///< Pool shard.
   std::vector<HostSharedCtr> host_shared_ctr_;
   std::vector<HostPrivCtr> host_priv_ctr_;
   std::vector<HostAckCtr> host_ack_ctr_;

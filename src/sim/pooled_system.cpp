@@ -1,6 +1,7 @@
 #include "sim/pooled_system.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -96,7 +97,23 @@ void PooledSystem::step_slice(std::uint32_t h, Cycle now) {
   Slice& s = slices_[h];
   if (s.halted) return;
 
-  // Free read slots whose completions have landed.
+  // Stall catch-up: every skipped cycle since the last step would have
+  // repeated that step's stall (`due` is a lower bound on the first cycle
+  // the outcome can change), so charge them to the same counter.
+  if (now > s.last_step + 1) {
+    const std::uint64_t skipped = now - s.last_step - 1;
+    switch (s.stall) {
+      case Stall::kDep: s.dep_stall_cycles += skipped; break;
+      case Stall::kWindow: s.window_stall_cycles += skipped; break;
+      case Stall::kBp: s.bp_stall_cycles += skipped; break;
+      case Stall::kNone: assert(false && "a retiring slice skipped a cycle"); break;
+    }
+  }
+  s.stall = Stall::kNone;
+
+  // Free read slots whose completions have landed. After a skip this frees
+  // every landed slot in index order, so slot numbering can differ from a
+  // per-cycle run; slots are tokens only and never reach the stats.
   if (s.busy_slots != 0) {
     for (std::uint32_t i = 0; i < s.slots.size(); ++i) {
       Slot& sl = s.slots[i];
@@ -109,26 +126,37 @@ void PooledSystem::step_slice(std::uint32_t h, Cycle now) {
   }
 
   const double max_ipc = s.gen->params().max_ipc;
+  // Credit is always >= 0, so for any gap dt >= 1 the accrual saturates:
+  // min(max_ipc, credit + max_ipc * dt) == max_ipc. A step after skipped
+  // cycles therefore sees exactly the credit a per-cycle step would.
   if (now > s.last_step) {
     s.credit = std::min(
         max_ipc, s.credit + max_ipc * static_cast<double>(now - s.last_step));
     s.last_step = now;
   }
 
+  issue(s, h, now);
+  refresh_due(s);
+}
+
+void PooledSystem::issue(Slice& s, std::uint32_t h, Cycle now) {
   while (s.credit >= 1.0) {
     if (!s.cur_valid) fetch(s, h);
     if (s.cur.kind == workload::InstrKind::kLoad) {
       if (s.cur.depends_on_prev_load && s.last_load_valid &&
           s.slots[s.last_load_slot].busy) {
         ++s.dep_stall_cycles;
+        s.stall = Stall::kDep;
         return;
       }
       if (s.free_slots.empty()) {
         ++s.window_stall_cycles;
+        s.stall = Stall::kWindow;
         return;
       }
       if (!memory_->can_accept(h, s.cur_line, false, now)) {
         ++s.bp_stall_cycles;
+        s.stall = Stall::kBp;
         return;
       }
       const std::uint32_t slot = s.free_slots.back();
@@ -143,6 +171,7 @@ void PooledSystem::step_slice(std::uint32_t h, Cycle now) {
     } else if (s.cur.kind == workload::InstrKind::kStore) {
       if (!memory_->can_accept(h, s.cur_line, true, now)) {
         ++s.bp_stall_cycles;
+        s.stall = Stall::kBp;
         return;
       }
       memory_->access(h, s.cur_line, true, now, 0);
@@ -171,20 +200,43 @@ void PooledSystem::drain_completions(std::uint32_t h) {
       s.lat.add(c.done - sl.start);
     }
   }
+  // A newly known `done` can move a dep or window stall's due cycle. (No
+  // completion lands before a slice's first step, so this never re-derives
+  // the initial due of 0.)
+  if (!done.empty()) refresh_due(s);
   done.clear();
 }
 
-void PooledSystem::step(Cycle now) {
-  for (std::uint32_t h = 0; h < cfg_.n_hosts; ++h) step_slice(h, now);
+void PooledSystem::refresh_due(Slice& s) {
+  if (s.halted) {
+    s.due = kNoCycle;
+    return;
+  }
+  // Retired until credit ran out, or bp (admission can change any cycle).
+  Cycle due = s.last_step + 1;
+  if (s.stall == Stall::kDep) {
+    due = std::max(due, s.slots[s.last_load_slot].done);
+  } else if (s.stall == Stall::kWindow) {
+    Cycle first = kNoCycle;
+    for (const Slot& sl : s.slots) {
+      if (sl.busy) first = std::min(first, sl.done);
+    }
+    due = std::max(due, first);
+  }
+  s.due = due;
+}
+
+void PooledSystem::step(Cycle now, bool force) {
+  for (std::uint32_t h = 0; h < cfg_.n_hosts; ++h) {
+    if (force || now >= slices_[h].due) step_slice(h, now);
+  }
   mem_wake_ = memory_->tick(now);
   for (std::uint32_t h = 0; h < cfg_.n_hosts; ++h) drain_completions(h);
 }
 
-Cycle PooledSystem::next_event_after(Cycle now) const {
+Cycle PooledSystem::next_event_after() const {
   Cycle next = mem_wake_;
-  for (const Slice& s : slices_) {
-    if (!s.halted) return std::min(next, now + 1);
-  }
+  for (const Slice& s : slices_) next = std::min(next, s.due);
   return next;
 }
 
@@ -210,7 +262,7 @@ PooledStats PooledSystem::run_sequential(std::uint64_t warmup_instr,
   Cycle total = 0;
   bool window_closed = false;
   while (true) {
-    step(now);
+    step(now, force);
     if (!window_open_) {
       bool all_warm = true;
       for (const Slice& s : slices_) {
@@ -234,7 +286,7 @@ PooledStats PooledSystem::run_sequential(std::uint64_t warmup_instr,
       total = now;
       break;
     }
-    const Cycle next = next_event_after(now);
+    const Cycle next = next_event_after();
     now = (force || next == kNoCycle) ? now + 1 : std::max(next, now + 1);
   }
   return assemble_stats(window_end, total);
@@ -243,9 +295,9 @@ PooledStats PooledSystem::run_sequential(std::uint64_t warmup_instr,
 // Sharded quantum engine (DESIGN.md §14). Shard 0 is the pool side —
 // the heaviest partition, owned by the coordinator so its pump overlaps
 // the workers' host pumps; shards 1..N are the host slices. Inside a
-// quantum [t, t+Q) every shard advances its own cycles (hosts step their
-// slice every cycle while it retires; both sides event-skip when idle,
-// clamped to the quantum). All cross-shard effects ride mailboxes drained
+// quantum [t, t+Q) every shard advances its own cycles (a host shard wakes
+// at min(host wake, slice due); the pool shard at its exact event times;
+// both clamped to the quantum). All cross-shard effects ride mailboxes drained
 // at the barrier, and every barrier decision — window open/close,
 // termination, the next quantum to simulate — is taken by the coordinator
 // alone from state that is a pure function of the simulation, never of
@@ -288,22 +340,27 @@ PooledStats PooledSystem::run_quantum(std::uint64_t warmup_instr, bool force) {
       }
       const std::uint32_t h = static_cast<std::uint32_t>(sh - 1);
       // Completions delivered at the barrier must reach the slice's slot
-      // table even when this shard is otherwise asleep.
+      // table even when this shard is otherwise asleep. shard_next already
+      // bounds their effect (the barrier folds the mail's earliest cycle in).
       drain_completions(h);
+      Slice& s = slices_[h];
       Cycle c = force ? t : std::max(t, shard_next[sh]);
       while (c < t_end) {
-        drain_completions(h);
-        step_slice(h, c);
+        if (force || c >= s.due) step_slice(h, c);
         const Cycle w = memory_->host_tick(h, c);
-        if (force || !slices_[h].halted) {
-          ++c;  // A retiring slice steps every cycle.
+        // Drain in the same iteration so a newly known `done` moves the
+        // slice's due cycle before the next wake is chosen.
+        drain_completions(h);
+        if (force) {
+          ++c;
           continue;
         }
-        if (w == kNoCycle) {
+        const Cycle next = std::min(w, s.due);
+        if (next == kNoCycle) {
           c = kNoCycle;
           break;
         }
-        c = std::max(w, c + 1);
+        c = std::max(next, c + 1);
       }
       shard_next[sh] = c;
     };
@@ -351,7 +408,15 @@ PooledStats PooledSystem::run_quantum(std::uint64_t warmup_instr, bool force) {
     if (effect != kNoCycle) {
       for (Cycle& c : shard_next) c = std::min(c, effect);
     }
-    if (force || global_next == kNoCycle) {
+    // Completions the exchange delivered are consumed at the start of the
+    // next quantum and keep the system non-quiescent until then, so that
+    // quantum is never skipped: skipping it would move the end-of-run
+    // barrier with the scheduler mode.
+    bool undrained = false;
+    for (std::uint32_t h = 0; h < cfg_.n_hosts; ++h) {
+      undrained = undrained || !memory_->completions(h).empty();
+    }
+    if (force || undrained || global_next == kNoCycle) {
       t = t_end;
     } else {
       t = std::max(t_end, global_next / q * q);

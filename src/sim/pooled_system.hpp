@@ -24,10 +24,17 @@
 //    it cannot be split into independently-pumped shards. Requesting more
 //    than one worker on a switched pool throws.
 //
-// Determinism (both pumps): slices are stepped in host order every cycle
-// while retiring (each live slice arms a now+1 wake), so per-step stall
-// counters are identical whether the scheduler runs event-driven or with
-// COAXIAL_TICK_EVERY_CYCLE=1; event skipping only compresses idle gaps —
+// Determinism (both pumps): event-driven, a slice is stepped only at its
+// due cycle — the earliest cycle at which its last step's outcome can
+// change; COAXIAL_TICK_EVERY_CYCLE=1 steps it every cycle (stepping early is
+// always exact, stepping late is not). Each step records why it stopped
+// (none, dep, window or bp stall); the due cycle is now + 1 after a
+// retiring or bp-stalled step, the blocking slot's `done` after a dep
+// stall, and the earliest known `done` over busy slots after a window stall
+// (kNoCycle until the completion is drained; every drain re-derives it).
+// The next step charges the skipped cycles to the recorded stall's counter,
+// which is exactly what a per-cycle step would have counted, so stats are
+// identical in both scheduler modes. Both pumps use the same due cycles;
 // the engine additionally rounds skips down to quantum boundaries so both
 // modes observe every barrier predicate transition at the same barrier.
 #pragma once
@@ -99,6 +106,10 @@ class PooledSystem {
     bool busy = false;
   };
 
+  /// Why a slice's last step stopped issuing (drives its due cycle and
+  /// which counter absorbs the skipped cycles).
+  enum class Stall : std::uint8_t { kNone, kDep, kWindow, kBp };
+
   struct Slice {
     std::unique_ptr<workload::Generator> gen;
     Rng share_rng{0};
@@ -108,6 +119,11 @@ class PooledSystem {
     bool cur_shared = false;
     double credit = 0;
     Cycle last_step = 0;
+    Stall stall = Stall::kNone;  ///< Outcome of the step at last_step.
+    /// First cycle the last step's outcome can change: the next cycle the
+    /// slice must step (kNoCycle: halted, or waiting on an undrained
+    /// completion). Maintained by refresh_due().
+    Cycle due = 0;
     std::vector<Slot> slots;     ///< host_window outstanding reads.
     std::vector<std::uint32_t> free_slots;
     std::uint32_t busy_slots = 0;
@@ -127,11 +143,17 @@ class PooledSystem {
     FixedHistogram lat;  ///< Read latency, cycles, window-issued only.
   };
 
-  void step(Cycle now);
+  void step(Cycle now, bool force);
+  /// Catch up the skipped stall cycles, free landed slots, accrue credit,
+  /// issue, and re-derive the slice's due cycle.
   void step_slice(std::uint32_t h, Cycle now);
+  void issue(Slice& s, std::uint32_t h, Cycle now);
+  /// Record host h's delivered completions in its slot table (re-deriving
+  /// the due cycle when any landed).
   void drain_completions(std::uint32_t h);
+  static void refresh_due(Slice& s);
   void fetch(Slice& s, std::uint32_t h);
-  Cycle next_event_after(Cycle now) const;
+  Cycle next_event_after() const;
   PooledStats run_sequential(std::uint64_t warmup_instr, bool force);
   PooledStats run_quantum(std::uint64_t warmup_instr, bool force);
   PooledStats assemble_stats(Cycle window_end, Cycle total) const;

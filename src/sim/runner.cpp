@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "common/env.hpp"
@@ -97,9 +98,40 @@ RunResult run_pooled(const RunRequest& request) {
   return result;
 }
 
+/// Reject request fields the selected dispatch would silently drop: a
+/// pooled run ignores `service`, and neither the pooled nor the service
+/// dispatch reads the tiering overrides (they only patch `config.tiering`
+/// of closed-loop System runs).
+void reject_dropped_fields(const RunRequest& request) {
+  const bool pooled = request.pool.enabled();
+  const bool service = request.service.enabled();
+  if (pooled && service) {
+    throw std::invalid_argument(
+        "RunRequest: `pool` and `service` are both set; a pooled run would "
+        "silently drop the service spec");
+  }
+  if (!pooled && !service) return;
+  std::string tier;
+  const auto note = [&tier](bool set, const char* field) {
+    if (!set) return;
+    tier += tier.empty() ? "" : ", ";
+    tier += field;
+  };
+  note(!request.tier_policy.empty(), "tier_policy");
+  note(request.tier_fast_pages != 0, "tier_fast_pages");
+  note(request.tier_epoch_cycles != 0, "tier_epoch_cycles");
+  if (!tier.empty()) {
+    throw std::invalid_argument(
+        std::string("RunRequest: ") + tier + " set on a " +
+        (pooled ? "`pool`" : "`service`") +
+        " run; tiering overrides apply only to closed-loop System runs");
+  }
+}
+
 }  // namespace
 
 RunResult run_one(const RunRequest& request) {
+  reject_dropped_fields(request);
   if (request.pool.enabled()) return run_pooled(request);
   if (request.service.enabled()) return run_service(request);
   const std::uint32_t cores = request.config.uarch.cores;

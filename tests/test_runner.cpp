@@ -1,6 +1,12 @@
 #include "sim/runner.hpp"
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "coaxial/configs.hpp"
 
 namespace coaxial::sim {
 namespace {
@@ -78,6 +84,61 @@ TEST(Runner, RunManyMatchesRunOne) {
   const auto many = run_many({req}, 2);
   ASSERT_EQ(many.size(), 1u);
   EXPECT_DOUBLE_EQ(many[0].stats.ipc_per_core, solo.stats.ipc_per_core);
+}
+
+// A request may select only one dispatch, and only fields that dispatch
+// reads. These combinations used to run and silently drop a field.
+
+ServiceConfig one_tenant_service() {
+  ServiceConfig svc;
+  svc.name = "svc-one";
+  svc.tenants.emplace_back();
+  return svc;
+}
+
+// Expects run_one(r) to throw std::invalid_argument whose message names
+// every field in `fields`.
+void expect_rejected(const RunRequest& r, const std::vector<std::string>& fields) {
+  try {
+    run_one(r);
+    ADD_FAILURE() << "run_one accepted a request whose dispatch would drop a field";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    for (const std::string& f : fields) {
+      EXPECT_NE(what.find(f), std::string::npos) << "missing '" << f << "' in: " << what;
+    }
+  }
+}
+
+TEST(RunnerRejects, PoolPlusServiceRequest) {
+  RunRequest r;
+  r.pool = sys::coaxial_pooled(2);
+  r.service = one_tenant_service();
+  expect_rejected(r, {"pool", "service"});
+}
+
+TEST(RunnerRejects, TierOverridesOnPooledRun) {
+  RunRequest r;
+  r.pool = sys::coaxial_pooled(2);
+  r.tier_policy = "hotness_lru";
+  expect_rejected(r, {"tier_policy", "pool"});
+  r.tier_policy.clear();
+  r.tier_fast_pages = 64;
+  expect_rejected(r, {"tier_fast_pages", "pool"});
+  r.tier_fast_pages = 0;
+  r.tier_epoch_cycles = 300;
+  expect_rejected(r, {"tier_epoch_cycles", "pool"});
+}
+
+TEST(RunnerRejects, TierOverridesOnServiceRun) {
+  RunRequest r;
+  r.config = sys::coaxial_4x();
+  r.service = one_tenant_service();
+  r.tier_policy = "hotness_lru";
+  r.tier_fast_pages = 64;
+  r.tier_epoch_cycles = 300;
+  expect_rejected(
+      r, {"tier_policy", "tier_fast_pages", "tier_epoch_cycles", "service"});
 }
 
 }  // namespace

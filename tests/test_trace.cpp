@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <string>
+
+#include <unistd.h>
 
 #include "coaxial/configs.hpp"
 #include "sim/system.hpp"
@@ -13,8 +17,19 @@ namespace {
 
 class TraceTest : public ::testing::Test {
  protected:
+  // One file per case and process: `ctest -j` runs the cases of this suite
+  // concurrently, and a shared path would let one case's TearDown delete
+  // the trace another case is still reading.
+  void SetUp() override {
+    const std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    path_ = (std::filesystem::temp_directory_path() /
+             ("coaxial_test_trace_" + name + "_" + std::to_string(::getpid()) +
+              ".bin"))
+                .string();
+  }
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = "/tmp/coaxial_test_trace.bin";
+  std::string path_;
 };
 
 TEST_F(TraceTest, RecordThenReplayRoundTrips) {
