@@ -120,6 +120,17 @@ mkdir -p "${POOL_SMOKE}/tick"
 "${BUILD_DIR}/tools/statdiff" --rtol 1e-9 --rtol 'pool/*=0' \
   "${POOL_SMOKE}/a/out/pooling_sweep.stats.json" \
   "${POOL_SMOKE}/tick/out/pooling_sweep.stats.json"
+# Worker-count identity at bench budgets: every pooled run on 4 shard
+# workers (one run at a time, so the outer x inner cap leaves them all 4 on
+# a host with 4+ hardware threads) must reproduce the 1-worker document
+# with pool/* exact.
+mkdir -p "${POOL_SMOKE}/shards4"
+(cd "${POOL_SMOKE}/shards4" &&
+ COAXIAL_THREADS=1 COAXIAL_SHARDS=4 COAXIAL_STATS_JSON=1 COAXIAL_INSTR=10000 \
+   COAXIAL_WARMUP=2000 "${BENCH_POOL}" > bench_pooling.log)
+"${BUILD_DIR}/tools/statdiff" --rtol 1e-9 --rtol 'pool/*=0' \
+  "${POOL_SMOKE}/a/out/pooling_sweep.stats.json" \
+  "${POOL_SMOKE}/shards4/out/pooling_sweep.stats.json"
 
 echo "=== availability smoke ==="
 # Run the device-failure availability bench twice at a small budget and

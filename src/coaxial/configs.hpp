@@ -150,8 +150,9 @@ pool::PoolConfig coaxial_pooled(std::uint32_t n_hosts = 2,
                                 std::uint32_t shared_devices = 2,
                                 std::uint32_t private_devices = 1);
 
-/// Switched variant: each host reaches its devices through a shared CXL
-/// switch, so back-invalidations and recall acks pay the switch hops too.
+/// Switched variant: each host reaches its devices through a CXL switch in
+/// its own fabric head, so back-invalidations and recall acks pay the
+/// switch hops too.
 pool::PoolConfig coaxial_pooled_switched(std::uint32_t n_hosts = 2,
                                          double share_fraction = 0.5,
                                          std::uint32_t shared_devices = 4,

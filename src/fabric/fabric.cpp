@@ -117,14 +117,12 @@ link::SendResult Fabric::send_tx(std::uint32_t dev, std::uint32_t bytes, Cycle n
   const std::uint32_t port = topo_.root_port_of(dev);
   const link::SendResult ready = host_tx_[port]->send(bytes, now);
   root_down_->enqueue(port, {ready.at, dev, bytes, payload, ready.poisoned});
-  sent_wake_ = std::min(sent_wake_, ready.at);
   return {kNoCycle, false};
 }
 
 bool Fabric::can_send_rx(std::uint32_t dev, Cycle now) const {
-  if (link_down_[dev]) return false;
-  if (direct()) return direct_links_[dev]->can_send_rx(now);
-  if (!dev_up_[dev]->can_send(now)) return false;
+  if (!can_inject_rx(dev, now)) return false;
+  if (direct()) return true;
   return cfg_.kind == TopologyKind::kTree
              ? leaf_up_[leaf_of(dev)]->can_enqueue(leaf_port_of(dev))
              : root_up_->can_enqueue(dev);
@@ -132,31 +130,42 @@ bool Fabric::can_send_rx(std::uint32_t dev, Cycle now) const {
 
 link::SendResult Fabric::send_rx(std::uint32_t dev, std::uint32_t bytes, Cycle now,
                                  std::uint64_t payload) {
-  if (direct()) return direct_links_[dev]->send_rx(bytes, now);
-  const link::SendResult ready = dev_up_[dev]->send(bytes, now);
+  const link::SendResult ready = inject_rx(dev, bytes, now);
+  if (direct()) return ready;
+  enqueue_rx(dev, bytes, ready, payload);
+  return {kNoCycle, false};
+}
+
+bool Fabric::can_inject_rx(std::uint32_t dev, Cycle now) const {
+  if (link_down_[dev]) return false;
+  return direct() ? direct_links_[dev]->can_send_rx(now) : dev_up_[dev]->can_send(now);
+}
+
+link::SendResult Fabric::inject_rx(std::uint32_t dev, std::uint32_t bytes, Cycle now) {
+  return direct() ? direct_links_[dev]->send_rx(bytes, now) : dev_up_[dev]->send(bytes, now);
+}
+
+void Fabric::enqueue_rx(std::uint32_t dev, std::uint32_t bytes,
+                        const link::SendResult& ready, std::uint64_t payload) {
   const FabricMsg msg{ready.at, dev, bytes, payload, ready.poisoned};
-  sent_wake_ = std::min(sent_wake_, ready.at);
   if (cfg_.kind == TopologyKind::kTree) {
     leaf_up_[leaf_of(dev)]->enqueue(leaf_port_of(dev), msg);
   } else {
     root_up_->enqueue(dev, msg);
   }
-  return {kNoCycle, false};
 }
 
 Cycle Fabric::rx_credit_cycle(std::uint32_t dev, Cycle now) const {
-  if (direct()) return direct_links_[dev]->rx_credit_cycle(now);
-  if (can_send_rx(dev, now)) return now;
-  // Blocked on the uplink pipe: its credit cycle is exact. Blocked on a
-  // full switch ingress queue: retry next cycle (it drains via ticks).
-  const Cycle at = dev_up_[dev]->credit_cycle(now);
-  return at > now ? at : now + 1;
+  // Switched: the uplink pipe's credit cycle is exact; a full switch
+  // ingress queue drains via ticks, so callers retry it at now + 1.
+  return direct() ? direct_links_[dev]->rx_credit_cycle(now)
+                  : dev_up_[dev]->credit_cycle(now);
 }
 
 Cycle Fabric::tick(Cycle now) {
   if (direct()) return kNoCycle;
   COAXIAL_PROF_SCOPE(kFabricArb);
-  sent_wake_ = kNoCycle;  // Everything queued so far is in this tick's bound.
+  up_freed_.clear();
   Cycle wake = kNoCycle;
   const bool tree = cfg_.kind == TopologyKind::kTree;
 
@@ -198,6 +207,7 @@ Cycle Fabric::tick(Cycle now) {
                     now, [](const FabricMsg&) { return 0u; },
                     [this, i](std::uint32_t) { return root_up_->can_enqueue(i); },
                     [this, i](std::uint32_t, const FabricMsg& m, Cycle arrival) {
+                      up_freed_.push_back(m.dest);
                       root_up_->enqueue(
                           i, {arrival, m.dest, m.bytes, m.payload, m.poisoned});
                     }));
@@ -207,7 +217,8 @@ Cycle Fabric::tick(Cycle now) {
       wake, root_up_->tick(
                 now, [this](const FabricMsg& m) { return topo_.root_port_of(m.dest); },
                 [](std::uint32_t) { return true; },
-                [this](std::uint32_t, const FabricMsg& m, Cycle arrival) {
+                [this, tree](std::uint32_t, const FabricMsg& m, Cycle arrival) {
+                  if (!tree) up_freed_.push_back(m.dest);
                   rx_out_.push_back({arrival, m.dest, m.payload, m.poisoned});
                 }));
   return wake;
@@ -225,6 +236,13 @@ Cycle Fabric::unloaded_rx_cycles(std::uint32_t bytes) const {
   const Cycle ser = serialization_cycles(lanes_.rx_goodput_gbps, bytes);
   return (hops_ + 1) * ser + 2 * lanes_.port_latency_cycles() +
          2 * hops_ * cfg_.switch_port_cycles();
+}
+
+Cycle Fabric::device_hop_cycles(std::uint32_t bytes) const {
+  if (direct()) return std::min(unloaded_tx_cycles(bytes), unloaded_rx_cycles(bytes));
+  return std::min(serialization_cycles(lanes_.tx_goodput_gbps, bytes),
+                  serialization_cycles(lanes_.rx_goodput_gbps, bytes)) +
+         lanes_.port_latency_cycles() + cfg_.switch_port_cycles();
 }
 
 void Fabric::reset_stats() {

@@ -88,24 +88,41 @@ class Fabric {
   /// have a free credit again.
   Cycle rx_credit_cycle(std::uint32_t dev, Cycle now) const;
 
+  /// send_rx() in two halves, for a sender that owns a device's uplink but
+  /// not the switch planes behind it (DESIGN.md §14). inject_rx() serialises
+  /// onto the uplink and returns its far-side cycle — on a direct fabric
+  /// that is the host arrival, and the message is done. On a switched one
+  /// enqueue_rx() later hands it to the first switch, whose ingress port
+  /// for `dev` the sender must bound itself: can_inject_rx() checks only
+  /// the uplink, and tick() reports each freed port slot in up_freed().
+  bool can_inject_rx(std::uint32_t dev, Cycle now) const;
+  link::SendResult inject_rx(std::uint32_t dev, std::uint32_t bytes, Cycle now);
+  void enqueue_rx(std::uint32_t dev, std::uint32_t bytes,
+                  const link::SendResult& ready, std::uint64_t payload);
+
   /// Advance the switched planes (downstream order, so a hop's output lands
   /// in the next hop's ingress before that hop computes its wake). Fills
-  /// tx_deliveries()/rx_deliveries(); returns a conservative wake bound.
-  /// Direct fabrics have no buffered state and return kNoCycle.
+  /// tx_deliveries()/rx_deliveries() and refills up_freed(); returns a
+  /// conservative wake bound over everything queued, including messages
+  /// sent earlier in the same cycle. Direct fabrics have no buffered state
+  /// and return kNoCycle.
   Cycle tick(Cycle now);
-  /// Earliest switch-ingress arrival of the messages sent since the last
-  /// tick() (kNoCycle if none, and always for direct fabrics). tick()'s
-  /// bound covers what was queued when it ran; this covers what a caller
-  /// sent after it, so a caller's own wake can stay exact.
-  Cycle sent_wake() const { return sent_wake_; }
   std::vector<Delivery>& tx_deliveries() { return tx_out_; }
   std::vector<Delivery>& rx_deliveries() { return rx_out_; }
+  /// Devices whose up-plane ingress port the last tick() popped, one entry
+  /// per freed slot.
+  const std::vector<std::uint32_t>& up_freed() const { return up_freed_; }
 
   /// Unloaded one-way latency for a message of `bytes` (uniform across
   /// devices by construction): per-hop serialisation plus all fixed port
   /// traversals.
   Cycle unloaded_tx_cycles(std::uint32_t bytes) const;
   Cycle unloaded_rx_cycles(std::uint32_t bytes) const;
+  /// Smallest unloaded latency of a message of `bytes` over a segment that
+  /// ends at a device port, in either direction: the whole link on a direct
+  /// fabric; the last switch egress (down) or the device uplink (up) on a
+  /// switched one.
+  Cycle device_hop_cycles(std::uint32_t bytes) const;
 
   /// Direct-mode access to the underlying per-channel link (legacy API).
   const link::CxlLink& direct_link(std::uint32_t i) const { return *direct_links_[i]; }
@@ -134,7 +151,7 @@ class Fabric {
   std::vector<std::unique_ptr<Switch>> leaf_down_, leaf_up_;
 
   std::vector<Delivery> tx_out_, rx_out_;
-  Cycle sent_wake_ = kNoCycle;
+  std::vector<std::uint32_t> up_freed_;
 };
 
 }  // namespace coaxial::fabric

@@ -11,7 +11,7 @@ namespace coaxial::pool {
 namespace {
 
 /// Per (sub-channel, host) ingress bound, mirroring CxlMemory's device
-/// ingress depth. In engine mode the same bound is enforced with credits.
+/// ingress depth. Pooled ingress enforces it with credits.
 constexpr std::uint32_t kIngressDepth = 64;
 
 std::uint32_t popcount64(std::uint64_t v) {
@@ -124,15 +124,14 @@ PooledMemory::PooledMemory(const PoolConfig& cfg, obs::Scope scope)
     bounce_cycles_ = fab_[0]->unloaded_tx_cycles(link::kReadRequestBytes) +
                      fab_[0]->unloaded_rx_cycles(link::kReadResponseBytes);
   }
-  // Engine timing constants (cheap; computed even when the engine is off).
   credit_lat_ = fab_[0]->unloaded_rx_cycles(link::kReadRequestBytes);
+  up_credit_lat_ = min_cross_shard_latency();
   bounce_rx_lat_ = fab_[0]->unloaded_rx_cycles(link::kReadResponseBytes);
 
   shared_ingress_.assign(s_subs_, std::vector<std::deque<DeviceMsg>>(n_hosts_));
   priv_ingress_.assign(n_hosts_, std::vector<std::deque<DeviceMsg>>(p_subs_));
   shared_wake_.assign(s_subs_, 0);
   priv_wake_.assign(n_hosts_, std::vector<Cycle>(p_subs_, 0));
-  tx_inflight_shared_.assign(s_subs_, std::vector<std::uint32_t>(n_hosts_, 0));
   tx_inflight_priv_.assign(n_hosts_, std::vector<std::uint32_t>(p_subs_, 0));
 
   inflight_.resize(n_hosts_);
@@ -148,11 +147,16 @@ PooledMemory::PooledMemory(const PoolConfig& cfg, obs::Scope scope)
 
   mail_demand_.resize(n_hosts_);
   mail_ack_.resize(n_hosts_);
+  mail_up_credit_.resize(n_hosts_);
   mail_comp_.resize(n_hosts_);
   mail_credit_.resize(n_hosts_);
   mail_inval_.resize(n_hosts_);
+  mail_up_.resize(n_hosts_);
   pending_credits_.resize(n_hosts_);
   credits_.assign(n_hosts_, std::vector<std::uint32_t>(s_subs_, kIngressDepth));
+  pending_up_credits_.resize(n_hosts_);
+  up_credits_.assign(n_hosts_, std::vector<std::uint32_t>(
+                                   s_devs_, fab_[0]->config().switch_queue_depth));
 
   avail_host_.resize(n_hosts_);
   host_shared_ctr_.resize(n_hosts_);
@@ -161,23 +165,13 @@ PooledMemory::PooledMemory(const PoolConfig& cfg, obs::Scope scope)
 }
 
 Cycle PooledMemory::min_cross_shard_latency() const {
+  // The smallest message is also the control-message (inval/credit) floor:
+  // latency is monotone in bytes, so it bounds every message from below.
   Cycle q = kNoCycle;
   for (const auto& f : fab_) {
-    q = std::min(q, f->unloaded_tx_cycles(link::kReadRequestBytes));
-    // The response path's floor is also the control-message (inval/credit)
-    // floor: rx latency is monotone in bytes, so the smallest rx message
-    // bounds every rx message from below.
-    q = std::min(q, f->unloaded_rx_cycles(link::kReadRequestBytes));
+    q = std::min(q, f->device_hop_cycles(link::kReadRequestBytes));
   }
   return std::max<Cycle>(q, 1);
-}
-
-void PooledMemory::set_engine(bool on) {
-  if (on && !engine_capable()) {
-    throw std::logic_error(
-        "pool::PooledMemory: sharded engine requires a direct fabric");
-  }
-  engine_ = on;
 }
 
 std::uint32_t PooledMemory::alloc_slot(std::uint32_t host, std::uint64_t token,
@@ -232,6 +226,30 @@ std::uint32_t PooledMemory::alloc_wire(std::uint32_t host, const WireMsg& msg) {
   return m;
 }
 
+PooledMemory::WireMsg PooledMemory::take_wire(std::uint32_t host,
+                                              std::uint64_t cookie) {
+  const std::uint32_t m = static_cast<std::uint32_t>(cookie);
+  free_wire_[host].push_back(m);
+  return wire_pool_[host][m];
+}
+
+Cycle PooledMemory::mature(std::vector<CreditMail>& pending,
+                           std::vector<std::uint32_t>& credits, Cycle now) {
+  Cycle wake = kNoCycle;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    const CreditMail c = pending[i];
+    if (c.at > now) {
+      pending[kept++] = c;
+      wake = std::min(wake, c.at);
+      continue;
+    }
+    ++credits[c.port];
+  }
+  pending.resize(kept);
+  return wake;
+}
+
 bool PooledMemory::can_accept(std::uint32_t host, Addr line, bool is_write,
                               Cycle now) const {
   (void)is_write;
@@ -245,11 +263,7 @@ bool PooledMemory::can_accept(std::uint32_t host, Addr line, bool is_write,
     // flip happens inside the pool pump after the hosts stepped fail_at_),
     // but free of any cross-shard read.
     if (host_sees_dead(now) && r.device == fail_dev_) return true;
-    if (!fab_[host]->can_send_tx(r.device, now)) return false;
-    if (engine_) return credits_[host][r.sub] > 0;
-    return shared_ingress_[r.sub][host].size() +
-               tx_inflight_shared_[r.sub][host] <
-           kIngressDepth;
+    return fab_[host]->can_send_tx(r.device, now) && credits_[host][r.sub] > 0;
   }
   const fabric::Router::Route r = private_map_.route(t.local_line);
   if (!fab_[host]->can_send_tx(s_devs_ + r.device, now)) return false;
@@ -289,24 +303,21 @@ void PooledMemory::access(std::uint32_t host, Addr line, bool is_write, Cycle no
     bytes = link::kReadRequestBytes;
   }
 
+  if (shared) {
+    // The pooled ingress belongs to the pool shard: the send consumes a
+    // flow-control credit, which the pool returns when it pops the message.
+    assert(credits_[host][r.sub] > 0);
+    --credits_[host][r.sub];
+  }
   fabric::Fabric& fab = *fab_[host];
   if (fab.direct()) {
     const link::SendResult sr = fab.send_tx(fab_dev, bytes, now, 0);
     msg.arrival = sr.at;
     msg.poisoned = sr.poisoned;
     if (shared) {
-      if (engine_) {
-        // Cross-shard: the pooled ingress belongs to the pool shard. The
-        // send consumed a flow-control credit; the pool returns it when it
-        // pops the message. sr.at >= now + quantum by the SerialPipe
-        // latency floor, so barrier delivery never arrives late.
-        assert(credits_[host][r.sub] > 0);
-        --credits_[host][r.sub];
-        mail_demand_[host].push_back({msg, r.sub});
-      } else {
-        shared_ingress_[r.sub][host].push_back(msg);
-        shared_wake_[r.sub] = std::min(shared_wake_[r.sub], msg.arrival);
-      }
+      // sr.at >= now + quantum by the SerialPipe latency floor, so barrier
+      // delivery never arrives late.
+      mail_demand_[host].push_back({msg, r.sub});
     } else {
       priv_ingress_[host][r.sub].push_back(msg);
       priv_wake_[host][r.sub] = std::min(priv_wake_[host][r.sub], msg.arrival);
@@ -321,22 +332,39 @@ void PooledMemory::access(std::uint32_t host, Addr line, bool is_write, Cycle no
     wm.line = r.local;
     wm.page = msg.page;
     fab.send_tx(fab_dev, bytes, now, alloc_wire(host, wm));
-    ++fabric_msgs_inflight_;
-    if (shared) {
-      ++tx_inflight_shared_[r.sub][host];
-    } else {
-      ++tx_inflight_priv_[host][r.sub];
-    }
+    if (!shared) ++tx_inflight_priv_[host][r.sub];
   }
 }
 
-void PooledMemory::deliver_inval(std::uint32_t target, std::uint32_t txn,
-                                 std::uint32_t sdev, bool dirty, Cycle arrival) {
-  host_invals_[target].push_back({arrival, txn, sdev, dirty});
+bool PooledMemory::up_ready(std::uint32_t host, std::uint32_t sdev,
+                            Cycle now) const {
+  const fabric::Fabric& fab = *fab_[host];
+  return fab.can_inject_rx(sdev, now) &&
+         (fab.direct() || up_credits_[host][sdev] > 0);
 }
 
-void PooledMemory::deliver_ack(std::uint32_t txn, bool dirty, Cycle arrival) {
-  dev_acks_.push_back({arrival, txn, dirty});
+Cycle PooledMemory::up_wake(std::uint32_t host, std::uint32_t sdev,
+                            Cycle now) const {
+  const fabric::Fabric& fab = *fab_[host];
+  // Out of switch-ingress credit: the credit's maturation wakes the pool.
+  if (!fab.direct() && up_credits_[host][sdev] == 0) return kNoCycle;
+  return std::max(fab.rx_credit_cycle(sdev, now), now + 1);
+}
+
+void PooledMemory::send_up(std::uint32_t host, std::uint32_t sdev,
+                           std::uint32_t bytes, const WireMsg& wm, Cycle now) {
+  fabric::Fabric& fab = *fab_[host];
+  const link::SendResult sr = fab.inject_rx(sdev, bytes, now);
+  if (!fab.direct()) {
+    // The switch behind the uplink belongs to the host shard: the barrier
+    // hands the message over, and the host returns the credit on its pop.
+    --up_credits_[host][sdev];
+    mail_up_[host].push_back({sr, sdev, bytes, wm});
+  } else if (wm.kind == WireMsg::kResp) {
+    mail_comp_[host].push_back({sr.at, wm.slot, wm.poisoned || sr.poisoned});
+  } else {
+    mail_inval_[host].push_back({sr.at, wm.txn, sdev, wm.dirty});
+  }
 }
 
 void PooledMemory::start_txn(const Directory::Decision& d, const DeviceMsg& msg,
@@ -382,24 +410,12 @@ void PooledMemory::pump_txn_sends(std::uint32_t t, Cycle now) {
     // The invalidation rides the target host's return path from the pooled
     // device — the same pipe as its read responses, so invalidation latency
     // is load- and topology-dependent.
-    fabric::Fabric& fab = *fab_[h];
-    if (!fab.can_send_rx(x.sdev, now)) continue;
-    if (fab.direct()) {
-      const link::SendResult sr =
-          fab.send_rx(x.sdev, link::kReadRequestBytes, now, 0);
-      if (engine_) {
-        mail_inval_[h].push_back({sr.at, t, x.sdev, dirty});
-      } else {
-        deliver_inval(h, t, x.sdev, dirty, sr.at);
-      }
-    } else {
-      WireMsg wm;
-      wm.kind = WireMsg::kInval;
-      wm.dirty = dirty;
-      wm.txn = t;
-      fab.send_rx(x.sdev, link::kReadRequestBytes, now, alloc_wire(h, wm));
-      ++fabric_msgs_inflight_;
-    }
+    if (!up_ready(h, x.sdev, now)) continue;
+    WireMsg wm;
+    wm.kind = WireMsg::kInval;
+    wm.dirty = dirty;
+    wm.txn = t;
+    send_up(h, x.sdev, link::kReadRequestBytes, wm, now);
     ++ctr_.invals_sent;
     if (dirty) {
       x.send_dirty &= ~bit;
@@ -426,82 +442,12 @@ void PooledMemory::admit_shared(dram::Controller& ctrl, const DeviceMsg& msg,
   ++host_shared_ctr_[host].shared;
 }
 
-Cycle PooledMemory::pump_wire_deliveries(Cycle now) {
-  Cycle wake = kNoCycle;
-  for (std::uint32_t h = 0; h < n_hosts_; ++h) {
-    fabric::Fabric& fab = *fab_[h];
-    if (fab.direct()) continue;
-    wake = std::min(wake, fab.tick(now));
-    for (const fabric::Delivery& d : fab.tx_deliveries()) {
-      const std::uint32_t m = static_cast<std::uint32_t>(d.payload);
-      const WireMsg wm = wire_pool_[h][m];
-      free_wire_[h].push_back(m);
-      --fabric_msgs_inflight_;
-      if (wm.kind == WireMsg::kDemand) {
-        DeviceMsg msg;
-        msg.arrival = d.arrival;
-        msg.local_line = wm.line;
-        msg.page = wm.page;
-        msg.token = wm.slot;
-        msg.is_write = wm.is_write;
-        msg.poisoned = d.poisoned;
-        if (wm.shared && dead_ && wm.sub / spd_ == fail_dev_) {
-          // In flight when the device died: bounce at delivery.
-          --tx_inflight_shared_[wm.sub][h];
-          bounce_msg(h, msg, std::max(d.arrival, now));
-        } else if (wm.shared) {
-          shared_ingress_[wm.sub][h].push_back(msg);
-          shared_wake_[wm.sub] = std::min(shared_wake_[wm.sub], d.arrival);
-          --tx_inflight_shared_[wm.sub][h];
-        } else {
-          priv_ingress_[h][wm.sub].push_back(msg);
-          priv_wake_[h][wm.sub] = std::min(priv_wake_[h][wm.sub], d.arrival);
-          --tx_inflight_priv_[h][wm.sub];
-        }
-      } else {
-        assert(wm.kind == WireMsg::kAck);
-        deliver_ack(wm.txn, wm.dirty, d.arrival);
-      }
-    }
-    fab.tx_deliveries().clear();
-    for (const fabric::Delivery& d : fab.rx_deliveries()) {
-      const std::uint32_t m = static_cast<std::uint32_t>(d.payload);
-      const WireMsg wm = wire_pool_[h][m];
-      free_wire_[h].push_back(m);
-      --fabric_msgs_inflight_;
-      if (wm.kind == WireMsg::kResp) {
-        finish_read(h, wm.slot, d.arrival, wm.poisoned || d.poisoned);
-      } else {
-        assert(wm.kind == WireMsg::kInval);
-        deliver_inval(h, wm.txn, txns_[wm.txn].sdev, wm.dirty, d.arrival);
-      }
-    }
-    fab.rx_deliveries().clear();
-  }
-  return wake;
-}
-
-Cycle PooledMemory::tick(Cycle now) {
-  Cycle wake = pump_wire_deliveries(now);
-  wake = std::min(wake, pool_tick(now));
-  for (std::uint32_t h = 0; h < n_hosts_; ++h) {
-    wake = std::min(wake, host_tick(h, now));
-  }
-  // Acks the host pass just sent land after the pool pump computed its
-  // wake; their arrivals are the events that retire invalidations. Likewise
-  // messages put on a switched fabric after its tick above.
-  for (const DevAck& a : dev_acks_) {
-    wake = std::min(wake, std::max(a.arrival, now + 1));
-  }
-  for (const auto& f : fab_) {
-    wake = std::min(wake, std::max(f->sent_wake(), now + 1));
-  }
-  return wake;
-}
-
 Cycle PooledMemory::pool_tick(Cycle now) {
   Cycle wake = kNoCycle;
   if (avail_on_) wake = std::min(wake, pump_pool_failure(now));
+  for (std::uint32_t h = 0; h < n_hosts_; ++h) {
+    wake = std::min(wake, mature(pending_up_credits_[h], up_credits_[h], now));
+  }
 
   // -- Phase B: acks arriving at pooled devices retire invalidations. -----
   {
@@ -642,11 +588,9 @@ Cycle PooledMemory::pool_tick(Cycle now) {
       if (dd.pingpong) ++ctr_.pingpong_transitions;
       ctr_.recalls_dirty += popcount64(dd.dirty_mask);
       q.pop_front();
-      if (engine_) {
-        // The pop frees the host's flow-control credit; the return rides
-        // the unloaded control latency of the response path.
-        mail_credit_[best].push_back({now + credit_lat_, sub});
-      }
+      // The pop frees the host's flow-control credit; the return rides the
+      // unloaded control latency of the response path.
+      mail_credit_[best].push_back({now + credit_lat_, sub});
       if (dd.needs_txn) {
         start_txn(dd, msg, best, sub, now);
         continue;
@@ -691,18 +635,16 @@ Cycle PooledMemory::pool_tick(Cycle now) {
 
   // -- Wake assembly for the remaining coherence state. A live transaction
   //    with unsent invalidations wakes when the target's return path has a
-  //    credit again. A fully acked one still live met a full controller:
-  //    it wakes with that sub, whose wake is already in `wake` (phase D).
+  //    credit again (up_wake). A fully acked one still live met a full
+  //    controller: it wakes with that sub, whose wake is already in `wake`
+  //    (phase D).
   //    One awaiting acks wakes at their arrival (below, or at the barrier
   //    that delivers the ack mail). ---------------------------------------
   if (live_txns_ != 0) {
     for (const CohTxn& x : txns_) {
       const std::uint64_t unsent = x.live ? x.send_clean | x.send_dirty : 0;
       for (std::uint32_t h = 0; h < n_hosts_; ++h) {
-        if ((unsent >> h) & 1) {
-          wake = std::min(wake, std::max(fab_[h]->rx_credit_cycle(x.sdev, now),
-                                         now + 1));
-        }
+        if ((unsent >> h) & 1) wake = std::min(wake, up_wake(h, x.sdev, now));
       }
     }
   }
@@ -714,73 +656,40 @@ Cycle PooledMemory::pool_tick(Cycle now) {
 
 Cycle PooledMemory::ship_shared_responses(std::uint32_t host, Cycle now) {
   Cycle wake = kNoCycle;
-  fabric::Fabric& fab = *fab_[host];
   auto& pending = pending_rx_[host];
   std::size_t kept = 0;
   for (std::size_t i = 0; i < pending.size(); ++i) {
     const PendingResponse p = pending[i];
     if (dead_ && p.device == fail_dev_) {
       // The data was read before the device died, but its return link is
-      // gone: the host port times out and synthesises a poison response.
-      // The engine pays the synthesised response's unloaded latency, which
-      // also keeps the bounce outside the quantum that produced it.
+      // gone: the host port times out and synthesises a poison response,
+      // paying its unloaded latency, which also keeps the bounce outside
+      // the quantum that produced it.
       ++avail_.bounced_reads;
-      const Cycle at = std::max(p.ready, now);
-      if (engine_) {
-        mail_comp_[host].push_back({at + bounce_rx_lat_, p.slot, true});
-      } else {
-        finish_read(host, p.slot, at, true);
-      }
+      mail_comp_[host].push_back(
+          {std::max(p.ready, now) + bounce_rx_lat_, p.slot, true});
       continue;
     }
-    if (p.ready > now || !fab.can_send_rx(p.device, now)) {
+    if (p.ready > now || !up_ready(host, p.device, now)) {
       pending[kept++] = p;
       continue;
     }
-    if (fab.direct()) {
-      const link::SendResult sr =
-          fab.send_rx(p.device, link::kReadResponseBytes, now, 0);
-      if (engine_) {
-        mail_comp_[host].push_back({sr.at, p.slot, p.poisoned || sr.poisoned});
-      } else {
-        finish_read(host, p.slot, sr.at, p.poisoned || sr.poisoned);
-      }
-    } else {
-      WireMsg wm;
-      wm.kind = WireMsg::kResp;
-      wm.slot = p.slot;
-      wm.poisoned = p.poisoned;
-      fab.send_rx(p.device, link::kReadResponseBytes, now, alloc_wire(host, wm));
-      ++fabric_msgs_inflight_;
-    }
+    WireMsg wm;
+    wm.kind = WireMsg::kResp;
+    wm.slot = p.slot;
+    wm.poisoned = p.poisoned;
+    send_up(host, p.device, link::kReadResponseBytes, wm, now);
   }
   pending.resize(kept);
   for (const PendingResponse& p : pending) {
-    const Cycle at = p.ready > now ? p.ready : fab.rx_credit_cycle(p.device, now);
-    wake = std::min(wake, std::max(at, now + 1));
+    wake = std::min(wake, p.ready > now ? p.ready : up_wake(host, p.device, now));
   }
   return wake;
 }
 
 Cycle PooledMemory::host_tick(std::uint32_t host, Cycle now) {
-  Cycle wake = kNoCycle;
   fabric::Fabric& fab = *fab_[host];
-
-  // Matured flow-control credits become usable (engine mode only).
-  if (engine_ && !pending_credits_[host].empty()) {
-    auto& pc = pending_credits_[host];
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < pc.size(); ++i) {
-      const CreditMail c = pc[i];
-      if (c.at > now) {
-        pc[kept++] = c;
-        wake = std::min(wake, c.at);
-        continue;
-      }
-      ++credits_[host][c.sub];
-    }
-    pc.resize(kept);
-  }
+  Cycle wake = mature(pending_credits_[host], credits_[host], now);
 
   // -- Phase E: private sub-channels (plain CxlMemory-style FIFO). --------
   for (std::uint32_t sub = 0; sub < p_subs_; ++sub) {
@@ -842,7 +751,6 @@ Cycle PooledMemory::host_tick(std::uint32_t host, Cycle now) {
         wm.poisoned = p.poisoned;
         fab.send_rx(p.device, link::kReadResponseBytes, now,
                     alloc_wire(host, wm));
-        ++fabric_msgs_inflight_;
       }
     }
     pending.resize(kept);
@@ -869,23 +777,63 @@ Cycle PooledMemory::host_tick(std::uint32_t host, Cycle now) {
           iv.dirty ? link::kWriteMessageBytes : link::kReadRequestBytes;
       if (fab.direct()) {
         const link::SendResult sr = fab.send_tx(iv.sdev, bytes, now, 0);
-        if (engine_) {
-          mail_ack_[host].push_back({sr.at, iv.txn, iv.dirty});
-        } else {
-          deliver_ack(iv.txn, iv.dirty, sr.at);
-        }
+        mail_ack_[host].push_back({sr.at, iv.txn, iv.dirty});
       } else {
         WireMsg wm;
         wm.kind = WireMsg::kAck;
         wm.dirty = iv.dirty;
         wm.txn = iv.txn;
         fab.send_tx(iv.sdev, bytes, now, alloc_wire(host, wm));
-        ++fabric_msgs_inflight_;
       }
       ++host_ack_ctr_[host].acks_sent;
       ++host_ack_ctr_[host].invals_received;
     }
     invals.resize(kept);
+  }
+
+  // -- Switched heads tick last, so the wake bound covers everything this
+  //    pump and the slice's step put on the fabric. -----------------------
+  if (!fab.direct()) wake = std::min(wake, pump_fabric(host, now));
+  return wake;
+}
+
+Cycle PooledMemory::pump_fabric(std::uint32_t host, Cycle now) {
+  fabric::Fabric& fab = *fab_[host];
+  Cycle wake = fab.tick(now);
+  // Every delivery lands a device-adjacent segment after `now`, so what
+  // crosses to the pool shard is barrier-safe.
+  for (const fabric::Delivery& d : fab.tx_deliveries()) {
+    const WireMsg wm = take_wire(host, d.payload);
+    if (wm.kind == WireMsg::kAck) {
+      mail_ack_[host].push_back({d.arrival, wm.txn, wm.dirty});
+      continue;
+    }
+    assert(wm.kind == WireMsg::kDemand);
+    const DeviceMsg msg{d.arrival, wm.line, wm.page, wm.slot, wm.is_write,
+                        d.poisoned};
+    if (wm.shared) {
+      mail_demand_[host].push_back({msg, wm.sub});
+      continue;
+    }
+    priv_ingress_[host][wm.sub].push_back(msg);
+    priv_wake_[host][wm.sub] = std::min(priv_wake_[host][wm.sub], d.arrival);
+    --tx_inflight_priv_[host][wm.sub];
+    wake = std::min(wake, d.arrival);
+  }
+  fab.tx_deliveries().clear();
+  for (const fabric::Delivery& d : fab.rx_deliveries()) {
+    const WireMsg wm = take_wire(host, d.payload);
+    if (wm.kind == WireMsg::kResp) {
+      finish_read(host, wm.slot, d.arrival, wm.poisoned || d.poisoned);
+    } else {
+      assert(wm.kind == WireMsg::kInval);
+      host_invals_[host].push_back({d.arrival, wm.txn, d.device, wm.dirty});
+      wake = std::min(wake, d.arrival);
+    }
+  }
+  fab.rx_deliveries().clear();
+  for (const std::uint32_t dev : fab.up_freed()) {
+    if (dev < s_devs_) mail_up_credit_[host].push_back({now + up_credit_lat_, dev});
   }
   return wake;
 }
@@ -914,6 +862,11 @@ Cycle PooledMemory::exchange_shard_mail(Cycle now) {
       effect = std::min(effect, am.arrival);
     }
     mail_ack_[h].clear();
+    for (const CreditMail& cr : mail_up_credit_[h]) {
+      pending_up_credits_[h].push_back(cr);
+      effect = std::min(effect, cr.at);
+    }
+    mail_up_credit_[h].clear();
   }
   for (std::uint32_t h = 0; h < n_hosts_; ++h) {
     for (const CompMail& cm : mail_comp_[h]) {
@@ -931,6 +884,11 @@ Cycle PooledMemory::exchange_shard_mail(Cycle now) {
       effect = std::min(effect, im.arrival);
     }
     mail_inval_[h].clear();
+    for (const UpMail& um : mail_up_[h]) {
+      fab_[h]->enqueue_rx(um.sdev, um.bytes, um.ready, alloc_wire(h, um.wm));
+      effect = std::min(effect, um.ready.at);
+    }
+    mail_up_[h].clear();
   }
   return effect;
 }
@@ -941,15 +899,11 @@ void PooledMemory::bounce_msg(std::uint32_t host, const DeviceMsg& msg,
     ++avail_.lost_writes;
   } else {
     ++avail_.bounced_reads;
-    if (engine_) {
-      // The pool shard may not complete a host-owned read slot directly;
-      // the poison response crosses back as completion mail, paying the
-      // synthesised response's unloaded latency.
-      mail_comp_[host].push_back(
-          {at + bounce_rx_lat_, static_cast<std::uint32_t>(msg.token), true});
-    } else {
-      finish_read(host, static_cast<std::uint32_t>(msg.token), at, true);
-    }
+    // The pool shard may not complete a host-owned read slot directly; the
+    // poison response crosses back as completion mail, paying the
+    // synthesised response's unloaded latency.
+    mail_comp_[host].push_back(
+        {at + bounce_rx_lat_, static_cast<std::uint32_t>(msg.token), true});
   }
 }
 
@@ -965,7 +919,7 @@ void PooledMemory::pool_fail_onset(Cycle now) {
     for (std::uint32_t h = 0; h < n_hosts_; ++h) {
       for (const DeviceMsg& m : shared_ingress_[sub][h]) {
         bounce_msg(h, m, std::max(m.arrival, now));
-        if (engine_) mail_credit_[h].push_back({now + credit_lat_, sub});
+        mail_credit_[h].push_back({now + credit_lat_, sub});
       }
       shared_ingress_[sub][h].clear();
     }
@@ -1065,8 +1019,10 @@ bool PooledMemory::quiescent() const {
   for (std::uint64_t n : inflight_reads_) {
     if (n != 0) return false;
   }
-  if (fabric_msgs_inflight_ != 0 || !coherence_idle()) return false;
-  if (!recovery_q_.empty()) return false;
+  if (!coherence_idle() || !recovery_q_.empty()) return false;
+  for (std::uint32_t h = 0; h < n_hosts_; ++h) {
+    if (wire_pool_[h].size() != free_wire_[h].size()) return false;
+  }
   for (const auto& per_host : shared_ingress_) {
     for (const auto& q : per_host) {
       if (!q.empty()) return false;
@@ -1089,8 +1045,8 @@ bool PooledMemory::quiescent() const {
   // budget, not work, and their maturation is deterministic regardless.
   for (std::uint32_t h = 0; h < n_hosts_; ++h) {
     if (!mail_demand_[h].empty() || !mail_ack_[h].empty() ||
-        !mail_comp_[h].empty() || !mail_credit_[h].empty() ||
-        !mail_inval_[h].empty() || !out_[h].empty()) {
+        !mail_comp_[h].empty() || !mail_inval_[h].empty() ||
+        !mail_up_[h].empty() || !out_[h].empty()) {
       return false;
     }
   }

@@ -19,32 +19,37 @@
 // DRAM before the parked access is admitted.
 //
 // Determinism contract (same as mem::MemorySystem): can_accept() is pure;
-// all state mutates inside access()/tick(); every action is keyed on
-// message arrival cycles and fixed scan orders (sub-channel index, then
-// host index), never on how often tick() was polled; tick() returns a
+// all state mutates inside access() and the pumps; every action is keyed
+// on message arrival cycles and fixed scan orders (sub-channel index, then
+// host index), never on how often a pump was polled; each pump returns a
 // conservative wake bound (every blocked action wakes at the event that
 // can unblock it — DESIGN.md §14 lists them), so the event-driven and
 // tick-every-cycle schedulers agree bit-for-bit.
 //
-// Sharded engine (DESIGN.md §14). Direct-fabric pools additionally expose
-// the pump split into shard-owned halves so sim::PooledSystem can run them
-// under the conservative-lookahead quantum engine (sim/shard.hpp):
+// Sharded pump (DESIGN.md §14). The pump is split into shard-owned halves
+// that sim::PooledSystem runs under the conservative-lookahead quantum
+// engine (sim/shard.hpp), on every fabric kind:
 //
-//   * host shard h owns: its slice's admission (can_accept/access), the
-//     private-device path end to end (ingress, DRAM, response shipping),
-//     its read-slot table and completion queue, invalidation acking, and a
-//     per-sub credit count standing in for the pooled ingress occupancy it
-//     can no longer read directly;
+//   * host shard h owns: its slice's admission (can_accept/access), its
+//     whole fabric head except the shared devices' uplinks (root ports,
+//     switch planes, private uplinks), the private-device path end to end
+//     (ingress, DRAM, response shipping), its read-slot table and
+//     completion queue, invalidation acking, and a per-sub credit count
+//     standing in for the pooled ingress occupancy it cannot read;
 //   * the pool shard owns: pooled ingress/DRAM/directories, coherence
-//     transactions, recall writebacks, shared response shipping, and the
+//     transactions, recall writebacks, the shared devices' uplinks on
+//     every head, a per-(host, shared device) credit count standing in for
+//     the occupancy of the switch ingress behind each such uplink, and the
 //     device-failure lifecycle.
 //
-// Cross-shard traffic (demands, acks, completions, invalidations, credit
-// returns) travels through per-host mailboxes flushed by the coordinator
-// at quantum barriers via exchange_shard_mail(). Every such message is
-// stamped at least min_cross_shard_latency() cycles in the future by
-// construction (it rides a SerialPipe whose delivery is >= now + unloaded
-// latency), which is exactly the engine's quantum.
+// The shard boundary is therefore a shared device's port on both planes.
+// Cross-shard traffic (demands, acks, completions, invalidations, switch
+// handovers, credit returns) travels through per-host mailboxes flushed by
+// the coordinator at quantum barriers via exchange_shard_mail(). Every
+// such message is stamped at least min_cross_shard_latency() cycles in
+// the future by construction (it crossed a device-adjacent segment, a
+// SerialPipe whose delivery is >= now + unloaded latency), which is
+// exactly the engine's quantum.
 #pragma once
 
 #include <cstdint>
@@ -108,37 +113,26 @@ class PooledMemory {
   void access(std::uint32_t host, Addr line, bool is_write, Cycle now,
               std::uint64_t token);
 
-  /// Advance everything (fabrics, directories, coherence transactions,
-  /// DRAM); returns a conservative wake bound. Sequential (non-engine)
-  /// pump entry — the engine calls the shard halves below instead.
-  Cycle tick(Cycle now);
-
   void set_force_tick(bool force) { force_tick_ = force; }
 
   std::vector<HostCompletion>& completions(std::uint32_t host) {
     return out_[host];
   }
 
-  // ---- sharded engine (DESIGN.md §14) ----------------------------------
-  /// Whether this pool can run under the quantum engine (direct fabrics
-  /// only: a switch's arbitration state spans both directions of every
-  /// host, so it cannot be split into independently-pumped shards).
-  bool engine_capable() const { return fab_[0]->direct(); }
+  // ---- sharded pump (DESIGN.md §14) ------------------------------------
   /// Smallest latency any cross-shard message can experience — the
-  /// engine's quantum. Minimum over hosts of the unloaded one-way cost of
-  /// the smallest message in each direction; SerialPipe delivery is always
-  /// >= now + unloaded latency (backlog, faults and down-training only add
-  /// to it), so this is a sound lookahead.
+  /// engine's quantum. Minimum over hosts of the unloaded cost of the
+  /// smallest message on a device-adjacent segment
+  /// (Fabric::device_hop_cycles); SerialPipe delivery is always >= now +
+  /// unloaded latency (backlog, faults and down-training only add to it),
+  /// so this is a sound lookahead.
   Cycle min_cross_shard_latency() const;
-  /// Switch admission control to mailbox credits and route cross-shard
-  /// messages through the mailboxes. Requires engine_capable().
-  void set_engine(bool on);
-  bool engine() const { return engine_; }
-  /// Pool-shard pump: device failure lifecycle, ack retirement, coherence
-  /// transactions, pooled sub-channels, shared response shipping.
+  /// Pool-shard pump: device failure lifecycle, credit maturation, ack
+  /// retirement, coherence transactions, pooled sub-channels, shared
+  /// response shipping.
   Cycle pool_tick(Cycle now);
   /// Host-shard pump for `host`: credit maturation, the private-device
-  /// path, invalidation acking.
+  /// path, invalidation acking, and (switched heads) the fabric tick.
   Cycle host_tick(std::uint32_t host, Cycle now);
   /// Coordinator-only, at a quantum barrier (no shard running): flush
   /// every mailbox into its destination shard's structures in fixed
@@ -150,7 +144,7 @@ class PooledMemory {
   /// True once no read, coherence message or writeback is in flight
   /// anywhere (the drain condition; implies invals_sent == invals_acked).
   /// Covers undrained completions and mailbox contents, so it is only
-  /// meaningful between ticks (sequential) or at barriers (engine).
+  /// meaningful at barriers.
   bool quiescent() const;
 
   /// RAS events summed over every host head's fabric (all-zero unarmed).
@@ -237,6 +231,8 @@ class PooledMemory {
   };
 
   // Wire cookie for switched fabrics (direct fabrics deliver analytically).
+  // Cookies live in the receiving host's pool: the host shard allocates its
+  // own, the barrier allocates the pool's at the switch handover.
   struct WireMsg {
     enum Kind : std::uint8_t { kDemand, kAck, kResp, kInval } kind = kDemand;
     bool is_write = false;  ///< kDemand.
@@ -250,7 +246,7 @@ class PooledMemory {
     Addr page = 0;          ///< kDemand: shared page id.
   };
 
-  // ---- cross-shard mailbox messages (engine mode only) -----------------
+  // ---- cross-shard mailbox messages ------------------------------------
   struct DemandMail {
     DeviceMsg msg;
     std::uint32_t sub = 0;  ///< Shared sub-channel.
@@ -267,13 +263,21 @@ class PooledMemory {
   };
   struct CreditMail {
     Cycle at = 0;
-    std::uint32_t sub = 0;
+    std::uint32_t port = 0;  ///< Shared sub (ingress) or device (uplink).
   };
   struct InvalMail {
     Cycle arrival = 0;
     std::uint32_t txn = 0;
     std::uint32_t sdev = 0;
     bool dirty = false;
+  };
+  /// A message injected on a shared device's uplink of a switched head, to
+  /// be handed to that head's first switch.
+  struct UpMail {
+    link::SendResult ready;
+    std::uint32_t sdev = 0;
+    std::uint32_t bytes = 0;
+    WireMsg wm;
   };
 
   std::uint32_t shared_sub_of(std::uint32_t device, std::uint32_t sub_in_dev) const {
@@ -287,11 +291,10 @@ class PooledMemory {
     return (std::uint64_t{poisoned} << 63) | (std::uint64_t{host} << 32) | slot;
   }
 
-  /// Whether `host`'s shard sees the planned surprise removal at `now`.
-  /// Matches the sequential pump's visibility exactly: dead_ flips inside
-  /// the pool pump at fail_at_, after the hosts stepped that cycle — so a
-  /// host first observes the death at fail_at_ + 1. A pure function of
-  /// config so host shards never read the pool-owned dead_ flag.
+  /// Whether `host`'s shard sees the planned surprise removal at `now`:
+  /// dead_ flips inside the pool pump at fail_at_, and a host first
+  /// observes the death at fail_at_ + 1. A pure function of config so host
+  /// shards never read the pool-owned dead_ flag.
   bool host_sees_dead(Cycle now) const {
     return avail_on_ && fail_at_ != kNoCycle && now > fail_at_;
   }
@@ -301,22 +304,31 @@ class PooledMemory {
                    bool poisoned);
   std::uint32_t alloc_txn();
   std::uint32_t alloc_wire(std::uint32_t host, const WireMsg& msg);
-  void deliver_inval(std::uint32_t target, std::uint32_t txn, std::uint32_t sdev,
-                     bool dirty, Cycle arrival);
-  void deliver_ack(std::uint32_t txn, bool dirty, Cycle arrival);
+  WireMsg take_wire(std::uint32_t host, std::uint64_t cookie);
+  /// Move matured credits from `pending` into `credits`; returns the
+  /// earliest credit still maturing (kNoCycle if none).
+  static Cycle mature(std::vector<CreditMail>& pending,
+                      std::vector<std::uint32_t>& credits, Cycle now);
   void start_txn(const Directory::Decision& d, const DeviceMsg& msg,
                  std::uint32_t host, std::uint32_t shared_sub, Cycle now);
   void pump_txn_sends(std::uint32_t t, Cycle now);
   bool coherence_idle() const;
 
-  /// Phase A: switched-fabric wire deliveries (no-op for direct heads).
-  Cycle pump_wire_deliveries(Cycle now);
+  /// Host shard, switched heads: tick `host`'s fabric and route what it
+  /// delivered (private side locally, pool side into the mailboxes).
+  Cycle pump_fabric(std::uint32_t host, Cycle now);
+  /// Pool shard: whether shared device `sdev` can put a message on `host`'s
+  /// return path at `now`, the cycle it next could, and the send itself.
+  bool up_ready(std::uint32_t host, std::uint32_t sdev, Cycle now) const;
+  Cycle up_wake(std::uint32_t host, std::uint32_t sdev, Cycle now) const;
+  void send_up(std::uint32_t host, std::uint32_t sdev, std::uint32_t bytes,
+               const WireMsg& wm, Cycle now);
   /// Admit a shared demand into its sub-channel's DRAM (directly or as the
   /// completion of a parked transaction).
   void admit_shared(dram::Controller& ctrl, const DeviceMsg& msg,
                     std::uint32_t host, Cycle now);
   /// Phase F, shared half: ship pooled-device responses up `host`'s return
-  /// path (engine: into the completion mailbox).
+  /// path.
   Cycle ship_shared_responses(std::uint32_t host, Cycle now);
 
   // ---- device failure: surprise removal of a shared device (§13) ----
@@ -325,10 +337,10 @@ class PooledMemory {
   Cycle pump_pool_failure(Cycle now);
   void pool_fail_onset(Cycle now);
   /// Poison-complete a read headed for (or stranded at) the dead device;
-  /// absorb a write. `host` owns the message's read slot. The engine pays
-  /// an extra unloaded response latency on the bounce (the host port's
-  /// timeout synthesises the error response), which also keeps the bounce
-  /// completion outside the quantum it was created in.
+  /// absorb a write. `host` owns the message's read slot. The bounce pays
+  /// an extra unloaded response latency (the host port's timeout
+  /// synthesises the error response), which also keeps its completion
+  /// outside the quantum it was created in.
   void bounce_msg(std::uint32_t host, const DeviceMsg& msg, Cycle at);
 
   PoolConfig cfg_;
@@ -339,7 +351,6 @@ class PooledMemory {
   std::uint32_t s_subs_ = 0;    ///< s_devs_ * spd_.
   std::uint32_t p_subs_ = 0;    ///< p_devs_ * spd_.
   bool force_tick_ = false;
-  bool engine_ = false;
 
   // Address decode: stage 1 per host (shared-window range decode), stage 2
   // per device class. Lookups are pure (no mutable state), so host shards
@@ -348,9 +359,10 @@ class PooledMemory {
   placement::AddressMap shared_map_;   ///< kPage over pooled devices.
   placement::AddressMap private_map_;  ///< kLine over private devices.
 
-  // Per host. A head's tx pipe belongs to the host shard, its rx pipes to
-  // whichever side ships on them (pool for shared devices, host for
-  // private) — CxlLink keeps fully independent tx/rx state.
+  // Per host. A head belongs to the host shard except its shared devices'
+  // return-path injection points (the direct link's rx pipe, or the
+  // switched uplink), which the pool ships on — CxlLink keeps fully
+  // independent tx/rx state, and a switched uplink is its own pipe.
   std::vector<std::unique_ptr<fabric::Fabric>> fab_;
 
   // DRAM: pooled controllers are global (pool shard), private ones per
@@ -364,8 +376,7 @@ class PooledMemory {
   std::vector<std::vector<std::deque<DeviceMsg>>> priv_ingress_;    ///< [host][sub].
   std::vector<Cycle> shared_wake_;               ///< Per pooled sub.
   std::vector<std::vector<Cycle>> priv_wake_;    ///< [host][sub].
-  std::vector<std::vector<std::uint32_t>> tx_inflight_shared_;  ///< [sub][host].
-  std::vector<std::vector<std::uint32_t>> tx_inflight_priv_;    ///< [host][sub].
+  std::vector<std::vector<std::uint32_t>> tx_inflight_priv_;  ///< [host][sub].
 
   // Per-host read slots and return-path queues (host shard).
   std::vector<std::vector<InflightRead>> inflight_;     ///< [host][slot].
@@ -385,27 +396,34 @@ class PooledMemory {
   std::vector<DevAck> dev_acks_;
   std::vector<PendingWb> pending_wbs_;
 
-  // Switched-fabric cookie pools, per host.
+  // Switched-fabric cookie pools, per host (in flight = size - free).
   std::vector<std::vector<WireMsg>> wire_pool_;
   std::vector<std::vector<std::uint32_t>> free_wire_;
-  std::uint64_t fabric_msgs_inflight_ = 0;
 
-  // ---- engine mailboxes + flow-control credits -------------------------
+  // ---- mailboxes + flow-control credits --------------------------------
   // Outboxes are appended by their owning shard during a quantum and
-  // drained only at barriers, so they need no locking. Credits replace the
-  // host's direct read of pooled ingress occupancy: each (host, sub) pair
-  // starts with the ingress depth, a send consumes one, and the pool
-  // returns it with a credit message stamped one unloaded response-path
-  // control latency after the pop.
+  // drained only at barriers, so they need no locking. Credits replace a
+  // read of queue occupancy owned by the other shard: each (host, shared
+  // sub) pair starts with the pooled ingress depth, each (host, shared
+  // device) pair of a switched head with the switch ingress depth; a send
+  // consumes one, and the owner of the queue returns it with a credit
+  // message stamped one unloaded control latency after the pop: the whole
+  // response path back to the host, or the one segment from a switch back
+  // to the device.
   std::vector<std::vector<DemandMail>> mail_demand_;   ///< [host] -> pool.
   std::vector<std::vector<AckMail>> mail_ack_;         ///< [host] -> pool.
+  std::vector<std::vector<CreditMail>> mail_up_credit_;  ///< [host] -> pool.
   std::vector<std::vector<CompMail>> mail_comp_;       ///< pool -> [host].
   std::vector<std::vector<CreditMail>> mail_credit_;   ///< pool -> [host].
   std::vector<std::vector<InvalMail>> mail_inval_;     ///< pool -> [host].
+  std::vector<std::vector<UpMail>> mail_up_;           ///< pool -> [host].
   std::vector<std::vector<CreditMail>> pending_credits_;  ///< Delivered, maturing.
   std::vector<std::vector<std::uint32_t>> credits_;    ///< [host][shared sub].
-  Cycle credit_lat_ = 1;     ///< Pop -> credit visible at the host.
-  Cycle bounce_rx_lat_ = 1;  ///< Extra response latency on engine bounces.
+  std::vector<std::vector<CreditMail>> pending_up_credits_;  ///< Ditto, pool side.
+  std::vector<std::vector<std::uint32_t>> up_credits_;  ///< [host][shared dev].
+  Cycle credit_lat_ = 1;     ///< Ingress pop -> credit visible at the host.
+  Cycle up_credit_lat_ = 1;  ///< Switch-ingress pop -> credit at the device.
+  Cycle bounce_rx_lat_ = 1;  ///< Extra response latency on bounces.
 
   // Device-failure state (DESIGN.md §13). `dead_` flips only inside the
   // pool pump at the planned cycle — pump_pool_failure() returns fail_at_

@@ -27,9 +27,8 @@ PooledSystem::PooledSystem(const pool::PoolConfig& cfg, std::uint64_t seed)
   // one (DESIGN.md §14): a declaration below the true minimum would
   // silently waste lookahead, one above it would let a message arrive
   // inside the quantum that sent it and break the byte-identical contract.
-  // Switched fabrics never run the engine, so their declaration is inert.
-  if (memory_->engine_capable() && cfg_.shard_min_latency_cycles != 0) {
-    const Cycle derived = memory_->min_cross_shard_latency();
+  if (cfg_.shard_min_latency_cycles != 0) {
+    const Cycle derived = lookahead();
     const Cycle declared = cfg_.shard_min_latency_cycles;
     if (declared < derived) {
       validate::fail("sim::PooledSystem", "shard_min_latency_cycles",
@@ -67,7 +66,7 @@ PooledSystem::PooledSystem(const pool::PoolConfig& cfg, std::uint64_t seed)
 }
 
 Cycle PooledSystem::lookahead() const {
-  return memory_->engine_capable() ? memory_->min_cross_shard_latency() : 0;
+  return memory_->min_cross_shard_latency();
 }
 
 void PooledSystem::fetch(Slice& s, std::uint32_t h) {
@@ -226,72 +225,6 @@ void PooledSystem::refresh_due(Slice& s) {
   s.due = due;
 }
 
-void PooledSystem::step(Cycle now, bool force) {
-  for (std::uint32_t h = 0; h < cfg_.n_hosts; ++h) {
-    if (force || now >= slices_[h].due) step_slice(h, now);
-  }
-  mem_wake_ = memory_->tick(now);
-  for (std::uint32_t h = 0; h < cfg_.n_hosts; ++h) drain_completions(h);
-}
-
-Cycle PooledSystem::next_event_after() const {
-  Cycle next = mem_wake_;
-  for (const Slice& s : slices_) next = std::min(next, s.due);
-  return next;
-}
-
-PooledStats PooledSystem::run(std::uint64_t warmup_instr,
-                              std::uint64_t measure_instr) {
-  budget_ = warmup_instr + measure_instr;
-  const bool force = tick_every_cycle_ || env_flag("COAXIAL_TICK_EVERY_CYCLE");
-  memory_->set_force_tick(force);
-  if (memory_->engine_capable()) return run_quantum(warmup_instr, force);
-  if (workers_ > 1) {
-    throw std::invalid_argument(
-        "sim::PooledSystem: shard workers require a direct fabric (a switch "
-        "arbitrates all hosts in one shared structure and cannot be sharded)");
-  }
-  effective_workers_ = 1;
-  return run_sequential(warmup_instr, force);
-}
-
-PooledStats PooledSystem::run_sequential(std::uint64_t warmup_instr,
-                                         bool force) {
-  Cycle now = 0;
-  Cycle window_end = 0;
-  Cycle total = 0;
-  bool window_closed = false;
-  while (true) {
-    step(now, force);
-    if (!window_open_) {
-      bool all_warm = true;
-      for (const Slice& s : slices_) {
-        all_warm = all_warm && s.retired >= warmup_instr;
-      }
-      if (all_warm) {
-        window_open_ = true;
-        window_start_ = now;
-        for (Slice& s : slices_) s.retired_base = s.retired;
-      }
-    }
-    if (window_open_ && !window_closed) {
-      bool all_done = true;
-      for (const Slice& s : slices_) all_done = all_done && s.halted;
-      if (all_done) {
-        window_closed = true;
-        window_end = now;
-      }
-    }
-    if (window_closed && memory_->quiescent()) {
-      total = now;
-      break;
-    }
-    const Cycle next = next_event_after();
-    now = (force || next == kNoCycle) ? now + 1 : std::max(next, now + 1);
-  }
-  return assemble_stats(window_end, total);
-}
-
 // Sharded quantum engine (DESIGN.md §14). Shard 0 is the pool side —
 // the heaviest partition, owned by the coordinator so its pump overlaps
 // the workers' host pumps; shards 1..N are the host slices. Inside a
@@ -304,9 +237,12 @@ PooledStats PooledSystem::run_sequential(std::uint64_t warmup_instr,
 // the worker count. Idle gaps are skipped in whole quanta (jumps round
 // down to the barrier grid) so the event-driven and tick-every-cycle
 // schedules visit the same barriers and agree byte-for-byte.
-PooledStats PooledSystem::run_quantum(std::uint64_t warmup_instr, bool force) {
-  memory_->set_engine(true);
-  const Cycle q = memory_->min_cross_shard_latency();
+PooledStats PooledSystem::run(std::uint64_t warmup_instr,
+                              std::uint64_t measure_instr) {
+  budget_ = warmup_instr + measure_instr;
+  const bool force = tick_every_cycle_ || env_flag("COAXIAL_TICK_EVERY_CYCLE");
+  memory_->set_force_tick(force);
+  const Cycle q = lookahead();
   const std::size_t n_shards = static_cast<std::size_t>(cfg_.n_hosts) + 1;
   shard::WorkerTeam team(workers_, n_shards);
   effective_workers_ = static_cast<std::uint32_t>(team.workers());

@@ -8,25 +8,19 @@
 // private region into the shared pooled window (with a hot contended
 // subset), which is what exercises the coherence directory.
 //
-// Two pumps:
+// One pump, the sharded quantum engine (DESIGN.md §14), on every fabric
+// kind: the system is partitioned into one pool shard plus one shard per
+// host slice, each pumped independently inside quanta of Q =
+// PooledMemory::min_cross_shard_latency() cycles, with mailboxes drained
+// at the barrier between quanta. One worker (the default) runs every shard
+// inline on the calling thread; set_workers(N) pumps shards on N threads.
+// The schedule of (shard, cycle) work and every barrier decision is a pure
+// function of simulation state — never of the worker count — so every
+// worker count produces byte-identical stats.
 //
-//  * Direct fabrics run under the sharded quantum engine (DESIGN.md §14):
-//    the system is partitioned into one pool shard plus one shard per host
-//    slice, each pumped independently inside quanta of Q =
-//    PooledMemory::min_cross_shard_latency() cycles, with mailboxes drained
-//    at the barrier between quanta. One worker (the default) runs every
-//    shard inline on the calling thread; set_workers(N) pumps shards on N
-//    threads. The schedule of (shard, cycle) work and every barrier
-//    decision is a pure function of simulation state — never of the worker
-//    count — so every worker count produces byte-identical stats.
-//  * Switched fabrics keep the sequential per-cycle pump: a switch
-//    arbitrates both directions of every host in one shared structure, so
-//    it cannot be split into independently-pumped shards. Requesting more
-//    than one worker on a switched pool throws.
-//
-// Determinism (both pumps): event-driven, a slice is stepped only at its
-// due cycle — the earliest cycle at which its last step's outcome can
-// change; COAXIAL_TICK_EVERY_CYCLE=1 steps it every cycle (stepping early is
+// Determinism: event-driven, a slice is stepped only at its due cycle —
+// the earliest cycle at which its last step's outcome can change;
+// COAXIAL_TICK_EVERY_CYCLE=1 steps it every cycle (stepping early is
 // always exact, stepping late is not). Each step records why it stopped
 // (none, dep, window or bp stall); the due cycle is now + 1 after a
 // retiring or bp-stalled step, the blocking slot's `done` after a dep
@@ -34,9 +28,9 @@
 // (kNoCycle until the completion is drained; every drain re-derives it).
 // The next step charges the skipped cycles to the recorded stall's counter,
 // which is exactly what a per-cycle step would have counted, so stats are
-// identical in both scheduler modes. Both pumps use the same due cycles;
-// the engine additionally rounds skips down to quantum boundaries so both
-// modes observe every barrier predicate transition at the same barrier.
+// identical in both scheduler modes. The engine also rounds skips down to
+// quantum boundaries so both modes observe every barrier predicate
+// transition at the same barrier.
 #pragma once
 
 #include <cstdint>
@@ -80,13 +74,13 @@ class PooledSystem {
   void set_tick_every_cycle(bool on) { tick_every_cycle_ = on; }
 
   /// Request N shard workers for the quantum engine (clamped to the shard
-  /// count, n_hosts + 1). The default 1 pumps every shard inline. Throws
-  /// from run() when N > 1 on a switched (engine-incapable) pool.
+  /// count, n_hosts + 1), on any fabric kind. The default 1 pumps every
+  /// shard inline.
   void set_workers(std::uint32_t n) { workers_ = n == 0 ? 1 : n; }
-  /// Workers actually used by the last run() (1 for the sequential pump).
+  /// Workers actually used by the last run(): the request clamped to the
+  /// shard count.
   std::uint32_t effective_workers() const { return effective_workers_; }
-  /// The engine's conservative lookahead in cycles (0 when the fabric is
-  /// switched and the engine cannot run).
+  /// The engine's conservative lookahead in cycles (the quantum).
   Cycle lookahead() const;
   /// Summed profiler totals of the worker threads of the last run (the
   /// coordinator's phases are in its own thread-local totals).
@@ -143,7 +137,6 @@ class PooledSystem {
     FixedHistogram lat;  ///< Read latency, cycles, window-issued only.
   };
 
-  void step(Cycle now, bool force);
   /// Catch up the skipped stall cycles, free landed slots, accrue credit,
   /// issue, and re-derive the slice's due cycle.
   void step_slice(std::uint32_t h, Cycle now);
@@ -153,9 +146,6 @@ class PooledSystem {
   void drain_completions(std::uint32_t h);
   static void refresh_due(Slice& s);
   void fetch(Slice& s, std::uint32_t h);
-  Cycle next_event_after() const;
-  PooledStats run_sequential(std::uint64_t warmup_instr, bool force);
-  PooledStats run_quantum(std::uint64_t warmup_instr, bool force);
   PooledStats assemble_stats(Cycle window_end, Cycle total) const;
   void register_metrics();
 
@@ -172,7 +162,6 @@ class PooledSystem {
   std::unique_ptr<pool::PooledMemory> memory_;
   std::vector<Slice> slices_;
 
-  Cycle mem_wake_ = 0;
   std::uint64_t budget_ = 0;  ///< Per-host warmup + measure retirements.
   bool window_open_ = false;
   Cycle window_start_ = 0;

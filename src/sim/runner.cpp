@@ -58,17 +58,13 @@ RunResult run_service(const RunRequest& request) {
 RunResult run_pooled(const RunRequest& request) {
   PooledSystem system(request.pool, request.seed);
   // Shard-worker resolution (DESIGN.md §14): an explicit request wins over
-  // COAXIAL_SHARDS; the harness cap (run_many) bounds both. An explicit
-  // multi-worker request on a switched pool is an error (run() throws); an
-  // env-derived one is clamped so COAXIAL_SHARDS=N batch runs keep working
-  // across mixed topologies.
-  const bool explicit_shards = request.shards != 0;
+  // COAXIAL_SHARDS; the harness cap (run_many) bounds both.
   std::uint32_t want =
-      explicit_shards ? request.shards
-                      : static_cast<std::uint32_t>(env_u64("COAXIAL_SHARDS", 1));
+      request.shards != 0
+          ? request.shards
+          : static_cast<std::uint32_t>(env_u64("COAXIAL_SHARDS", 1));
   if (want == 0) want = 1;
   if (request.shard_cap != 0) want = std::min(want, request.shard_cap);
-  if (want > 1 && !explicit_shards && system.lookahead() == 0) want = 1;
   system.set_workers(want);
 
   const obs::prof::Totals prof_base = obs::prof::thread_totals();

@@ -44,10 +44,9 @@ struct RunRequest {
   std::uint64_t tier_fast_pages = 0;
   Cycle tier_epoch_cycles = 0;
 
-  /// Intra-run shard workers for pooled runs (DESIGN.md §14). 0 reads
-  /// COAXIAL_SHARDS (default 1: the sequential inline pump). Any worker
-  /// count yields byte-identical stats. Explicitly requesting > 1 on a
-  /// switched pool throws; an env-derived value is clamped to 1 there.
+  /// Intra-run shard workers for pooled runs on any fabric kind (DESIGN.md
+  /// §14). 0 reads COAXIAL_SHARDS (default 1: every shard pumped inline on
+  /// the calling thread). Any worker count yields byte-identical stats.
   std::uint32_t shards = 0;
   /// Harness cap on effective shard workers (0 = uncapped). run_many sets
   /// it from inner_shard_cap() so outer runs x inner shard workers never

@@ -4,6 +4,18 @@
 // L1 hits are handled inline; everything below L1 flows through a small
 // event heap (L2 lookup, LLC lookup/response, memory arrival), which keeps
 // per-cycle work proportional to actual memory traffic.
+//
+// Determinism contract of the event-driven loop (DESIGN.md §2). Component
+// wake-ups are level-triggered: being woken with nothing to do is
+// harmless, so a too-early wake costs time but never changes results.
+// Payload events (cache fills, NoC arrivals, memory ops) are ordered by
+// cycle only; within a cycle they pop in the heap's insertion-dependent
+// order. That tie-break is results-affecting (a FIFO tie-break shifts the
+// golden stats), so it is kept as is. It is also global state a partition
+// would have to reproduce exactly, which is why single-host System runs
+// stay sequential: the sharded quantum engine (DESIGN.md §14,
+// sim/shard.hpp) targets sim::PooledSystem, whose host slices own disjoint
+// state by construction.
 #pragma once
 
 #include <cstdint>

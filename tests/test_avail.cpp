@@ -445,20 +445,23 @@ pool::PoolConfig faulty_pool(std::uint32_t hosts) {
   return c;
 }
 
-std::string pooled_document(sim::PooledSystem& s, bool forced, sim::PooledStats* out) {
+std::string pooled_document(sim::PooledSystem& s, bool forced, sim::PooledStats* out,
+                            std::uint32_t workers = 1) {
   if (forced) s.set_tick_every_cycle(true);
+  s.set_workers(workers);
   const sim::PooledStats st = s.run(/*warmup_instr=*/300, /*measure_instr=*/1500);
   if (out != nullptr) *out = st;
   return obs::json::snapshot_to_json(s.metrics().snapshot());
 }
 
-void expect_pooled_modes_equivalent(const pool::PoolConfig& cfg) {
+void expect_pooled_modes_equivalent(const pool::PoolConfig& cfg,
+                                    std::uint32_t workers = 1) {
   sim::PooledStats ev, fo;
   sim::PooledSystem a(cfg, /*seed=*/7), b(cfg, /*seed=*/7);
   const std::string doc_a = pooled_document(a, /*forced=*/false, &ev);
-  const std::string doc_b = pooled_document(b, /*forced=*/true, &fo);
+  const std::string doc_b = pooled_document(b, /*forced=*/true, &fo, workers);
   EXPECT_EQ(ev.total_cycles, fo.total_cycles) << cfg.name;
-  EXPECT_EQ(doc_a, doc_b) << cfg.name;
+  EXPECT_EQ(doc_a, doc_b) << cfg.name << " at " << workers << " workers";
   // Under real load, through a real death.
   EXPECT_GT(ev.pool.invals_sent, 0u) << cfg.name;
   EXPECT_EQ(a.memory().avail_counters().devices_offlined, 1u) << cfg.name;
@@ -472,7 +475,9 @@ TEST(PooledAvail, SchedulerModesMatchThroughDeviceLossSwitched) {
   pool::PoolConfig cfg = faulty_pool(2);
   cfg.name += "-sw";
   cfg.fabric_kind = fabric::TopologyKind::kStar;
-  expect_pooled_modes_equivalent(cfg);
+  for (const std::uint32_t workers : {1u, 2u, 4u}) {
+    expect_pooled_modes_equivalent(cfg, workers);
+  }
 }
 
 TEST(PooledAvail, DirectoryRecoveryConservesInvalidations) {

@@ -275,6 +275,41 @@ TEST(Fabric, TwoLevelPathAddsOneMoreHopExactly) {
   EXPECT_EQ(tree_arrival, t0 + tree.unloaded_rx_cycles(link::kReadResponseBytes));
 }
 
+TEST(Fabric, SplitUplinkSendMatchesSendRxAndReportsIngressPops) {
+  // inject_rx + enqueue_rx is send_rx in two halves (the pooled engine runs
+  // them on different shards), the first half costs exactly one
+  // device-adjacent segment when unloaded, and every slot the first
+  // up-plane switch frees at a device's ingress port is reported once.
+  const link::LaneConfig lanes = link::LaneConfig::x8();
+  for (const FabricConfig& cfg : {FabricConfig::star(2, 1), FabricConfig::tree(2, 1, 2)}) {
+    Fabric whole(cfg, 2, lanes);
+    Fabric split(cfg, 2, lanes);
+    const Cycle t0 = 100;
+    for (std::uint32_t i = 0; i < 6; ++i) {
+      const std::uint32_t dev = i % 2;
+      whole.send_rx(dev, link::kReadResponseBytes, t0, i);
+      const link::SendResult ready = split.inject_rx(dev, link::kReadResponseBytes, t0);
+      if (i < 2) {
+        EXPECT_EQ(ready.at, t0 + split.device_hop_cycles(link::kReadResponseBytes));
+      }
+      split.enqueue_rx(dev, link::kReadResponseBytes, ready, i);
+    }
+    std::vector<std::uint32_t> freed(2, 0);
+    for (Cycle now = t0; now < t0 + 2'000; ++now) {
+      whole.tick(now);
+      split.tick(now);
+      for (const std::uint32_t dev : split.up_freed()) ++freed[dev];
+    }
+    ASSERT_EQ(whole.rx_deliveries().size(), 6u);
+    ASSERT_EQ(split.rx_deliveries().size(), 6u);
+    for (std::size_t i = 0; i < 6; ++i) {
+      EXPECT_EQ(split.rx_deliveries()[i].arrival, whole.rx_deliveries()[i].arrival);
+      EXPECT_EQ(split.rx_deliveries()[i].payload, whole.rx_deliveries()[i].payload);
+    }
+    EXPECT_EQ(freed, (std::vector<std::uint32_t>{3, 3}));
+  }
+}
+
 TEST(CxlMemoryFabric, UnloadedReadLatencyIsDirectPlusHopPremiums) {
   // End-to-end through CxlMemory: a single unloaded read over a 1-device
   // star must complete exactly (ser_tx + 2S) + (ser_rx + 2S) cycles after

@@ -161,9 +161,11 @@ pool::PoolConfig small_pool(std::uint32_t hosts) {
 }
 
 std::string pooled_document(const pool::PoolConfig& cfg, bool forced,
-                            sim::PooledStats* out = nullptr) {
+                            sim::PooledStats* out = nullptr,
+                            std::uint32_t workers = 1) {
   sim::PooledSystem s(cfg, /*seed=*/7);
   if (forced) s.set_tick_every_cycle(true);
+  s.set_workers(workers);
   const sim::PooledStats st = s.run(/*warmup_instr=*/300, /*measure_instr=*/1500);
   if (out != nullptr) *out = st;
   return obs::json::snapshot_to_json(s.metrics().snapshot());
@@ -208,12 +210,17 @@ TEST(PooledSystem, SchedulerModesAreByteIdenticalDirect) {
 TEST(PooledSystem, SchedulerModesAreByteIdenticalSwitched) {
   pool::PoolConfig cfg = small_pool(2);
   cfg.fabric_kind = fabric::TopologyKind::kStar;
-  sim::PooledStats ev, fo;
+  sim::PooledStats ev;
   const std::string a = pooled_document(cfg, /*forced=*/false, &ev);
-  const std::string b = pooled_document(cfg, /*forced=*/true, &fo);
   EXPECT_GT(ev.pool.invals_sent, 0u);
-  EXPECT_EQ(ev.total_cycles, fo.total_cycles);
-  EXPECT_EQ(a, b);
+  for (const std::uint32_t workers : {1u, 2u, 4u}) {
+    sim::PooledStats fo;
+    EXPECT_EQ(a, pooled_document(cfg, /*forced=*/true, &fo, workers))
+        << "per-cycle run at " << workers << " workers";
+    EXPECT_EQ(ev.total_cycles, fo.total_cycles);
+    EXPECT_EQ(a, pooled_document(cfg, /*forced=*/false, nullptr, workers))
+        << "event-driven run at " << workers << " workers";
+  }
 }
 
 TEST(PooledSystem, RepeatedRunsAreByteIdentical) {

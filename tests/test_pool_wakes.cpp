@@ -5,11 +5,11 @@
 // counter or a blocked-attempt counter is > 0 — so no test can pass
 // vacuously. It then requires the event-driven run to reproduce the
 // per-cycle reference (set_tick_every_cycle, the COAXIAL_TICK_EVERY_CYCLE
-// switch) byte for byte, at every shard-worker count the fabric allows.
+// switch) byte for byte, at every shard-worker count, on direct, star and
+// tree fabrics.
 // A wake that fires one cycle late shows up as a diverging document.
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -46,14 +46,10 @@ PoolRun run_pool(const pool::PoolConfig& cfg, bool forced, std::uint32_t workers
 }
 
 // The event-driven run at 1 worker against the per-cycle reference and
-// every other worker count the fabric supports (switched pools: 1 only).
+// every other worker count.
 void expect_modes_agree(const pool::PoolConfig& cfg, const PoolRun& event) {
-  const std::vector<std::uint32_t> workers =
-      cfg.fabric_kind == fabric::TopologyKind::kDirect
-          ? std::vector<std::uint32_t>{1, 2, 4}
-          : std::vector<std::uint32_t>{1};
   for (const bool forced : {true, false}) {
-    for (const std::uint32_t w : workers) {
+    for (const std::uint32_t w : {1u, 2u, 4u}) {
       if (!forced && w == 1) continue;  // That is `event` itself.
       EXPECT_EQ(event.doc, run_pool(cfg, forced, w).doc)
           << (forced ? "per-cycle" : "event-driven") << " run at " << w
@@ -68,6 +64,17 @@ std::uint64_t host_leaf(const obs::Snapshot& snap, std::uint32_t host,
   const auto it = snap.find(path);
   EXPECT_NE(it, snap.end()) << path;
   return it == snap.end() ? 0 : it->second.count;
+}
+
+// Moves a pool onto `kind`; a tree's two leaves need an even device count
+// per head, so it gets 3 shared + 1 private device.
+pool::PoolConfig on_fabric(pool::PoolConfig c, fabric::TopologyKind kind) {
+  c.fabric_kind = kind;
+  if (kind == fabric::TopologyKind::kTree) {
+    c.shared_devices = 3;
+    c.private_devices = 1;
+  }
+  return c;
 }
 
 pool::PoolConfig hot_pool(std::uint32_t hosts) {
@@ -87,8 +94,7 @@ pool::PoolConfig hot_pool(std::uint32_t hosts) {
 // window fills (window), and dependent loads wait on the slow reads (dep).
 // kmeans, unlike pool-pingpong, rarely chains loads, so the window fills.
 pool::PoolConfig stall_pool(fabric::TopologyKind kind) {
-  pool::PoolConfig c = hot_pool(4);
-  c.fabric_kind = kind;
+  pool::PoolConfig c = on_fabric(hot_pool(4), kind);
   c.workload = "kmeans";
   c.share_fraction = 0.9;
   c.shared_hot_pages = 1;
@@ -121,6 +127,10 @@ TEST(StallCatchUp, EveryStallKindMatchesPerCycleDirect) {
 
 TEST(StallCatchUp, EveryStallKindMatchesPerCycleSwitched) {
   check_stall_catch_up(fabric::TopologyKind::kStar);
+}
+
+TEST(StallCatchUp, EveryStallKindMatchesPerCycleTree) {
+  check_stall_catch_up(fabric::TopologyKind::kTree);
 }
 
 // ----------------------------------------------------- end-of-run barrier
@@ -192,8 +202,9 @@ TEST(PoolShardWakes, ControllerFullBlocksWritebacksParkedAndHeads) {
   expect_modes_agree(cfg, ev);
 }
 
-TEST(PoolShardWakes, SurpriseRemovalMidRun) {
-  pool::PoolConfig cfg = sys::coaxial_pooled_faulty(4, /*at_cycle=*/4'000);
+void check_surprise_removal(fabric::TopologyKind kind) {
+  pool::PoolConfig cfg =
+      on_fabric(sys::coaxial_pooled_faulty(4, /*at_cycle=*/4'000), kind);
   cfg.private_pages = 1 << 12;
   cfg.shared_pages = 256;
   cfg.shared_hot_pages = 4;
@@ -202,7 +213,20 @@ TEST(PoolShardWakes, SurpriseRemovalMidRun) {
   ASSERT_GT(ev.avail.devices_offlined, 0u);
   ASSERT_GT(ev.avail.bounced_reads + ev.avail.refused_txns, 0u);
   ASSERT_GT(ev.ctr.txns, 0u);
+  EXPECT_EQ(ev.ctr.invals_sent, ev.ctr.invals_acked);
   expect_modes_agree(cfg, ev);
+}
+
+TEST(PoolShardWakes, SurpriseRemovalMidRun) {
+  check_surprise_removal(fabric::TopologyKind::kDirect);
+}
+
+TEST(PoolShardWakes, SurpriseRemovalMidRunSwitched) {
+  check_surprise_removal(fabric::TopologyKind::kStar);
+}
+
+TEST(PoolShardWakes, SurpriseRemovalMidRunTree) {
+  check_surprise_removal(fabric::TopologyKind::kTree);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Scheduler unit tests plus the event-driven-vs-forced equivalence
-// property: a System run with idle-cycle skipping must match a run that
-// ticks every component every cycle, metric for metric, byte for byte.
+// The event-driven-vs-forced equivalence property of the System wake-up
+// spine (sim/system.hpp): a run with idle-cycle skipping must match a run
+// that ticks every component every cycle, metric for metric, byte for byte.
 #include <string>
 #include <vector>
 
@@ -8,132 +8,11 @@
 
 #include "coaxial/configs.hpp"
 #include "obs/stats_json.hpp"
-#include "sim/scheduler.hpp"
 #include "sim/system.hpp"
 #include "workload/catalog.hpp"
 
 namespace coaxial::sim {
 namespace {
-
-/// Records the order its wake-ups fire in a shared log.
-struct Recorder final : Schedulable {
-  std::vector<int>* log = nullptr;
-  int id = 0;
-  Recorder() = default;
-  Recorder(std::vector<int>* l, int i) : log(l), id(i) {}
-  void on_wake(Cycle /*now*/) override { log->push_back(id); }
-};
-
-TEST(Scheduler, DispatchesInCycleOrder) {
-  Scheduler sched;
-  std::vector<int> log;
-  Recorder a{&log, 1}, b{&log, 2}, c{&log, 3};
-  sched.schedule(30, 0, &c);
-  sched.schedule(10, 0, &a);
-  sched.schedule(20, 0, &b);
-  EXPECT_EQ(sched.next_cycle(), 10u);
-  sched.dispatch_due(10);
-  sched.dispatch_due(30);
-  EXPECT_EQ(log, (std::vector<int>{1, 2, 3}));
-  EXPECT_TRUE(sched.empty());
-}
-
-TEST(Scheduler, SameCycleTiesDispatchInPriorityThenRegistrationOrder) {
-  Scheduler sched;
-  std::vector<int> log;
-  Recorder a{&log, 1}, b{&log, 2}, c{&log, 3}, d{&log, 4};
-  // Same cycle throughout: priority first, then registration order.
-  sched.schedule(5, 2, &c);
-  sched.schedule(5, 1, &a);
-  sched.schedule(5, 2, &d);  // Registered after c at the same priority.
-  sched.schedule(5, 1, &b);
-  EXPECT_EQ(sched.dispatch_due(5), 4u);
-  EXPECT_EQ(log, (std::vector<int>{1, 2, 3, 4}));
-}
-
-TEST(Scheduler, RegistrationOrderIsStableAcrossManyTies) {
-  Scheduler sched;
-  std::vector<int> log;
-  std::vector<Recorder> recs(64);
-  for (int i = 0; i < 64; ++i) {
-    recs[i].log = &log;
-    recs[i].id = i;
-    sched.schedule(7, 0, &recs[i]);
-  }
-  sched.dispatch_due(7);
-  ASSERT_EQ(log.size(), 64u);
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(log[i], i);
-}
-
-TEST(Scheduler, CancelSuppressesDispatchAndReschedulingWorks) {
-  Scheduler sched;
-  std::vector<int> log;
-  Recorder a{&log, 1}, b{&log, 2};
-  const Scheduler::Token ta = sched.schedule(10, 0, &a);
-  sched.schedule(20, 0, &b);
-  sched.cancel(ta);
-  EXPECT_EQ(sched.next_cycle(), 20u);  // Cancelled entry no longer surfaces.
-  // Reschedule a at a new cycle: only the new registration fires.
-  sched.schedule(15, 0, &a);
-  sched.dispatch_due(25);
-  EXPECT_EQ(log, (std::vector<int>{1, 2}));
-  EXPECT_EQ(sched.cancelled(), 1u);
-  EXPECT_EQ(sched.dispatched(), 2u);
-  EXPECT_EQ(sched.scheduled(), 3u);
-}
-
-TEST(Scheduler, CancelAllLeavesSchedulerEmpty) {
-  Scheduler sched;
-  std::vector<int> log;
-  Recorder a{&log, 1};
-  const Scheduler::Token t1 = sched.schedule(5, 0, &a);
-  const Scheduler::Token t2 = sched.schedule(9, 1, &a);
-  sched.cancel(t1);
-  sched.cancel(t2);
-  EXPECT_TRUE(sched.empty());
-  EXPECT_EQ(sched.next_cycle(), kNoCycle);
-  EXPECT_EQ(sched.dispatch_due(100), 0u);
-  EXPECT_TRUE(log.empty());
-}
-
-/// Re-registers itself a fixed number of times at the same cycle.
-struct Chainer final : Schedulable {
-  Scheduler* sched = nullptr;
-  int remaining = 0;
-  int fired = 0;
-  void on_wake(Cycle now) override {
-    ++fired;
-    if (remaining-- > 0) sched->schedule(now, 5, this);
-  }
-};
-
-TEST(Scheduler, DispatchDueRunsSameCycleChains) {
-  Scheduler sched;
-  Chainer chain;
-  chain.sched = &sched;
-  chain.remaining = 3;
-  sched.schedule(4, 5, &chain);
-  // One call dispatches the original entry plus the three same-cycle
-  // re-registrations made by the handler itself.
-  EXPECT_EQ(sched.dispatch_due(4), 4u);
-  EXPECT_EQ(chain.fired, 4);
-  EXPECT_TRUE(sched.empty());
-}
-
-TEST(Scheduler, NextCycleSkipsOverCancelledPrefix) {
-  Scheduler sched;
-  std::vector<int> log;
-  Recorder a{&log, 1};
-  std::vector<Scheduler::Token> tokens;
-  for (Cycle t = 1; t <= 5; ++t) tokens.push_back(sched.schedule(t, 0, &a));
-  for (int i = 0; i < 4; ++i) sched.cancel(tokens[i]);
-  EXPECT_EQ(sched.next_cycle(), 5u);
-  EXPECT_EQ(sched.live(), 1u);
-}
-
-// ---------------------------------------------------------------------------
-// Property: event-driven == forced tick-every-cycle, cycle for cycle.
-// ---------------------------------------------------------------------------
 
 std::string run_document(const sys::SystemConfig& cfg, const std::string& wl,
                          bool forced, Cycle* end_cycle,

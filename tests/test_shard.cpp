@@ -1,6 +1,6 @@
 // Sharded quantum engine (DESIGN.md §14): conservative-lookahead derivation
-// and validation, worker-count independence of the stats document, the
-// switched-fabric guard rails, and the outer-pool x inner-shard cap.
+// and validation, worker-count independence of the stats document on
+// direct, star and tree fabrics, and the outer-pool x inner-shard cap.
 //
 // The load-bearing property is byte-identity: the parallel pump must be a
 // pure scheduling change. Every test here compares full canonical JSON
@@ -42,6 +42,21 @@ pool::PoolConfig faulty_pool(std::uint32_t hosts) {
   return c;
 }
 
+// Moves a pool onto `kind`; a tree's two leaves need an even device count
+// per head, so it gets 3 shared + 1 private device.
+pool::PoolConfig on_fabric(pool::PoolConfig c, fabric::TopologyKind kind) {
+  c.fabric_kind = kind;
+  if (kind == fabric::TopologyKind::kTree) {
+    c.shared_devices = 3;
+    c.private_devices = 1;
+  }
+  return c;
+}
+
+constexpr fabric::TopologyKind kAllKinds[] = {fabric::TopologyKind::kDirect,
+                                              fabric::TopologyKind::kStar,
+                                              fabric::TopologyKind::kTree};
+
 sim::RunRequest pooled_request(const pool::PoolConfig& cfg,
                                std::uint32_t shards) {
   sim::RunRequest req;
@@ -62,69 +77,96 @@ TEST(ShardLookahead, DirectFabricDerivesPositiveQuantum) {
   EXPECT_GT(s.lookahead(), 1u);
 }
 
-TEST(ShardLookahead, SwitchedFabricCannotRunTheEngine) {
-  sim::PooledSystem s(sys::coaxial_pooled_switched(2), /*seed=*/7);
-  EXPECT_EQ(s.lookahead(), 0u);
+TEST(ShardLookahead, SwitchedFabricDerivesPositiveQuantum) {
+  // The quantum is the device-adjacent segment: one serialisation plus a
+  // link port and a switch port, which outweighs the direct link's
+  // serialisation plus two link ports (25 ns vs 12.5 ns ports).
+  const Cycle direct = sim::PooledSystem(small_pool(2), /*seed=*/7).lookahead();
+  for (const fabric::TopologyKind kind :
+       {fabric::TopologyKind::kStar, fabric::TopologyKind::kTree}) {
+    const Cycle q =
+        sim::PooledSystem(on_fabric(small_pool(2), kind), /*seed=*/7).lookahead();
+    EXPECT_GT(q, direct);
+  }
 }
 
+// Every fabric kind runs the same engine, so a declaration is checked on
+// each, switched ones included.
 TEST(ShardLookahead, DeclaredLatencyMatchingDerivedIsAccepted) {
-  pool::PoolConfig cfg = small_pool(2);
-  const Cycle derived = sim::PooledSystem(cfg, /*seed=*/7).lookahead();
-  cfg.shard_min_latency_cycles = derived;
-  sim::PooledSystem s(cfg, /*seed=*/7);
-  EXPECT_EQ(s.lookahead(), derived);
+  for (const fabric::TopologyKind kind : kAllKinds) {
+    pool::PoolConfig cfg = on_fabric(small_pool(2), kind);
+    const Cycle derived = sim::PooledSystem(cfg, /*seed=*/7).lookahead();
+    cfg.shard_min_latency_cycles = derived;
+    sim::PooledSystem s(cfg, /*seed=*/7);
+    EXPECT_EQ(s.lookahead(), derived);
+  }
 }
 
 TEST(ShardLookahead, DeclaredLatencyBelowDerivedIsRejected) {
   // A declared minimum below the true fabric latency would be accepted by a
   // naive engine and silently waste lookahead; the config layer must refuse
   // it instead of letting the mismatch hide.
-  pool::PoolConfig cfg = small_pool(2);
-  const Cycle derived = sim::PooledSystem(cfg, /*seed=*/7).lookahead();
-  ASSERT_GT(derived, 1u);  // Otherwise `derived - 1` would be the 0 sentinel.
-  cfg.shard_min_latency_cycles = derived - 1;
-  EXPECT_THROW(sim::PooledSystem(cfg, /*seed=*/7), std::invalid_argument);
+  for (const fabric::TopologyKind kind : kAllKinds) {
+    pool::PoolConfig cfg = on_fabric(small_pool(2), kind);
+    const Cycle derived = sim::PooledSystem(cfg, /*seed=*/7).lookahead();
+    ASSERT_GT(derived, 1u);  // Otherwise `derived - 1` would be the 0 sentinel.
+    cfg.shard_min_latency_cycles = derived - 1;
+    EXPECT_THROW(sim::PooledSystem(cfg, /*seed=*/7), std::invalid_argument);
+  }
 }
 
 TEST(ShardLookahead, DeclaredLatencyAboveDerivedIsRejected) {
   // The opposite direction is worse: a too-large quantum would deliver
   // cross-shard messages later than the fabric actually can, changing
   // results. Also a hard configuration error.
-  pool::PoolConfig cfg = small_pool(2);
-  const Cycle derived = sim::PooledSystem(cfg, /*seed=*/7).lookahead();
-  cfg.shard_min_latency_cycles = derived + 1;
-  EXPECT_THROW(sim::PooledSystem(cfg, /*seed=*/7), std::invalid_argument);
+  for (const fabric::TopologyKind kind : kAllKinds) {
+    pool::PoolConfig cfg = on_fabric(small_pool(2), kind);
+    const Cycle derived = sim::PooledSystem(cfg, /*seed=*/7).lookahead();
+    cfg.shard_min_latency_cycles = derived + 1;
+    EXPECT_THROW(sim::PooledSystem(cfg, /*seed=*/7), std::invalid_argument);
+  }
 }
 
 // -------------------------------------------------- worker-count invariance
 
 TEST(ShardDeterminism, WorkerCountNeverChangesThePooledDocument) {
-  const std::string base = stats_json(sim::run_one(pooled_request(
-      small_pool(4), /*shards=*/1)));
-  ASSERT_FALSE(base.empty());
-  for (const std::uint32_t n : {2u, 4u, 8u}) {
-    EXPECT_EQ(base, stats_json(sim::run_one(pooled_request(small_pool(4), n))))
-        << "document diverged at " << n << " shard workers";
+  for (const fabric::TopologyKind kind : kAllKinds) {
+    const pool::PoolConfig cfg = on_fabric(small_pool(4), kind);
+    const sim::RunResult base = sim::run_one(pooled_request(cfg, /*shards=*/1));
+    // Under real coherence load, with every invalidation acked.
+    EXPECT_GT(base.pooled.pool.invals_sent, 0u);
+    EXPECT_EQ(base.pooled.pool.invals_sent, base.pooled.pool.invals_acked);
+    for (const std::uint32_t n : {2u, 4u, 8u}) {
+      EXPECT_EQ(stats_json(base), stats_json(sim::run_one(pooled_request(cfg, n))))
+          << "fabric " << static_cast<int>(kind) << ": document diverged at "
+          << n << " shard workers";
+    }
   }
 }
 
 TEST(ShardDeterminism, WorkerCountInvariantUnderDeviceFailure) {
   // The RAS path exercises the straggler protocol: demands in flight toward
   // a device that dies mid-quantum must bounce at the barrier with the same
-  // timing every worker count observes.
-  sim::PooledSystem seq(faulty_pool(2), /*seed=*/7);
-  seq.run(/*warmup_instr=*/300, /*measure_instr=*/1'500);
-  const std::string base = obs::json::snapshot_to_json(seq.metrics().snapshot());
-  const ras::AvailCounters av = seq.memory().avail_counters();
-  // The scenario must actually fire, or this test proves nothing.
-  ASSERT_GT(av.devices_offlined, 0u);
-  EXPECT_GT(av.bounced_reads + av.refused_txns, 0u);
-  for (const std::uint32_t n : {2u, 4u, 8u}) {
-    sim::PooledSystem par(faulty_pool(2), /*seed=*/7);
-    par.set_workers(n);
-    par.run(300, 1'500);
-    EXPECT_EQ(base, obs::json::snapshot_to_json(par.metrics().snapshot()))
-        << "document diverged at " << n << " shard workers";
+  // timing every worker count observes. On switched heads the demand is
+  // delivered by the host's switch and bounces at the next barrier.
+  for (const fabric::TopologyKind kind : kAllKinds) {
+    const pool::PoolConfig cfg = on_fabric(faulty_pool(2), kind);
+    sim::PooledSystem seq(cfg, /*seed=*/7);
+    const sim::PooledStats st = seq.run(/*warmup_instr=*/300, /*measure_instr=*/1'500);
+    const std::string base = obs::json::snapshot_to_json(seq.metrics().snapshot());
+    const ras::AvailCounters av = seq.memory().avail_counters();
+    // The scenario must actually fire, or this test proves nothing.
+    ASSERT_GT(av.devices_offlined, 0u);
+    EXPECT_GT(av.bounced_reads + av.refused_txns, 0u);
+    EXPECT_EQ(st.pool.invals_sent, st.pool.invals_acked);
+    for (const std::uint32_t n : {2u, 4u, 8u}) {
+      sim::PooledSystem par(cfg, /*seed=*/7);
+      par.set_workers(n);
+      par.run(300, 1'500);
+      EXPECT_EQ(base, obs::json::snapshot_to_json(par.metrics().snapshot()))
+          << "fabric " << static_cast<int>(kind) << ": document diverged at "
+          << n << " shard workers";
+    }
   }
 }
 
@@ -137,23 +179,17 @@ TEST(ShardDeterminism, EffectiveWorkersAreClampedToShardCount) {
   EXPECT_EQ(s.effective_workers(), 3u);
 }
 
-// ------------------------------------------------------ switched guard rails
+// ---------------------------------------------------------- env plumbing
 
-TEST(ShardGuards, ExplicitWorkersOnSwitchedPoolThrow) {
-  sim::RunRequest req = pooled_request(sys::coaxial_pooled_switched(2),
-                                       /*shards=*/2);
-  EXPECT_THROW(sim::run_one(req), std::invalid_argument);
-}
-
-TEST(ShardGuards, EnvWorkersOnSwitchedPoolClampToSequential) {
-  // COAXIAL_SHARDS=N applies to a whole batch; a switched pool in the batch
-  // must clamp to the sequential pump instead of killing the run.
-  ::setenv("COAXIAL_SHARDS", "4", /*overwrite=*/1);
-  sim::RunRequest req = pooled_request(sys::coaxial_pooled_switched(2),
-                                       /*shards=*/0);
-  const sim::RunResult res = sim::run_one(req);
+TEST(ShardGuards, EnvWorkersDriveSwitchedPools) {
+  // COAXIAL_SHARDS=N applies to a whole batch, switched pools included.
+  ::setenv("COAXIAL_SHARDS", "2", /*overwrite=*/1);
+  const sim::RunResult res = sim::run_one(
+      pooled_request(sys::coaxial_pooled_switched(2), /*shards=*/0));
   ::unsetenv("COAXIAL_SHARDS");
-  EXPECT_EQ(res.shards, 1u);
+  EXPECT_EQ(res.shards, 2u);
+  EXPECT_EQ(stats_json(res), stats_json(sim::run_one(pooled_request(
+                                 sys::coaxial_pooled_switched(2), 1))));
 }
 
 TEST(ShardGuards, EnvWorkersDriveDirectPools) {
