@@ -95,6 +95,33 @@ void BM_DramControllerRandom(benchmark::State& state) {
 }
 BENCHMARK(BM_DramControllerRandom);
 
+/// DRAM controller under saturating mixed traffic, driven event-style: one
+/// iteration is one tick, taken at the cycle tick() last asked for. Before
+/// each tick a requester offers its 30%-write random stream until an access
+/// is refused (it stays pending, head of line), so the read queue stays
+/// full and the write queue cycles between the drain watermarks: deep
+/// FR-FCFS windows on both queues, write drain and forwarding. Items are
+/// admitted accesses.
+void BM_DramControllerSaturatedMixed(benchmark::State& state) {
+  dram::Controller c({}, {});
+  Rng rng(4);
+  Cycle now = 1;
+  std::int64_t admitted = 0;
+  bool pending_write = rng.chance(0.3);
+  Addr pending_line = rng.next_u64() >> 20;
+  for (auto _ : state) {
+    while (c.enqueue(pending_line, pending_write, now, pending_line)) {
+      ++admitted;
+      pending_write = rng.chance(0.3);
+      pending_line = rng.next_u64() >> 20;
+    }
+    now = c.tick(now);
+    c.completions().clear();
+  }
+  state.SetItemsProcessed(admitted);
+}
+BENCHMARK(BM_DramControllerSaturatedMixed);
+
 /// End-to-end simulator throughput: host-time per simulated instruction.
 void BM_FullSystemThroughput(benchmark::State& state) {
   const bool coaxial = state.range(0) != 0;

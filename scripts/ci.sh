@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: configure, build, run the full test suite, verify the
-# golden stats document against the checked-in baseline with statdiff, run
+# golden stats document against the checked-in baseline with statdiff (also
+# under COAXIAL_NO_READY_CACHE=1, the from-scratch DRAM scheduling path), run
 # the RAS fault-preset, tiering, pooling, and availability smokes
 # (deterministic ras/*, tier/*, pool/*, and ras/avail/* stats across two
 # runs), gate host wall-clock against the committed BENCH_10.json baseline
@@ -30,6 +31,13 @@ echo "=== golden statdiff check ==="
 "${BUILD_DIR}/tools/golden_run" "${BUILD_DIR}/golden_current.json"
 "${BUILD_DIR}/tools/statdiff" --rtol 1e-9 \
   tests/golden/baseline.json "${BUILD_DIR}/golden_current.json"
+# Once more on the from-scratch DRAM scheduling path (every tick re-derives
+# the FR-FCFS windows and rescans; no ready caches): the live window and the
+# caches must not move a single leaf of the baseline.
+COAXIAL_NO_READY_CACHE=1 \
+  "${BUILD_DIR}/tools/golden_run" "${BUILD_DIR}/golden_no_ready_cache.json"
+"${BUILD_DIR}/tools/statdiff" --rtol 1e-9 \
+  tests/golden/baseline.json "${BUILD_DIR}/golden_no_ready_cache.json"
 
 echo "=== RAS fault-preset smoke ==="
 # Run the BER sweep twice at a small budget and require the stats documents
@@ -69,6 +77,17 @@ for doc in tail_latency_sweep tail_latency_noisy; do
   "${BUILD_DIR}/tools/statdiff" --rtol 1e-9 --rtol 'svc/*=0' \
     "${SVC_SMOKE}/a/out/${doc}.stats.json" \
     "${SVC_SMOKE}/b/out/${doc}.stats.json"
+done
+# The same smoke on the from-scratch DRAM scheduling path: deep queues and
+# write drain at bench size must reproduce the default document exactly.
+mkdir -p "${SVC_SMOKE}/scratch"
+(cd "${SVC_SMOKE}/scratch" &&
+ COAXIAL_NO_READY_CACHE=1 COAXIAL_STATS_JSON=1 COAXIAL_SVC_CYCLES=20000 \
+   COAXIAL_SVC_WARMUP=2000 "${BENCH_TAIL}" > bench_tail_latency.log)
+for doc in tail_latency_sweep tail_latency_noisy; do
+  "${BUILD_DIR}/tools/statdiff" --rtol 1e-9 --rtol 'svc/*=0' \
+    "${SVC_SMOKE}/a/out/${doc}.stats.json" \
+    "${SVC_SMOKE}/scratch/out/${doc}.stats.json"
 done
 
 echo "=== tiering smoke ==="

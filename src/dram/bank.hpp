@@ -11,16 +11,17 @@
 
 namespace coaxial::dram {
 
+/// Reserved `Bank::open_row` value: no row is open. Real rows are below
+/// `Geometry::rows`, so a row compare against it never matches.
+inline constexpr std::uint32_t kClosedRow = ~std::uint32_t{0};
+
 struct Bank {
-  bool open = false;
-  std::uint32_t row = 0;
+  std::uint32_t open_row = kClosedRow;
 
   Cycle next_act = 0;  ///< Earliest ACT (after tRP from PRE, or tRC from ACT).
   Cycle next_rd = 0;   ///< Earliest read CAS (after tRCD).
   Cycle next_wr = 0;   ///< Earliest write CAS (after tRCD).
   Cycle next_pre = 0;  ///< Earliest PRE (after tRAS / tRTP / tWR).
-
-  bool row_hit(std::uint32_t r) const { return open && row == r; }
 };
 
 }  // namespace coaxial::dram

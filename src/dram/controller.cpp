@@ -1,6 +1,7 @@
 #include "dram/controller.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/env.hpp"
 #include "obs/profiler.hpp"
@@ -8,9 +9,13 @@
 namespace coaxial::dram {
 
 namespace {
-/// FR-FCFS fairness guard: only the oldest `kScanWindow` entries of a queue
-/// compete for issue, bounding both starvation and per-tick scan cost.
-constexpr std::size_t kScanWindow = 16;
+/// max(a, b) by masking. Which operand wins is data-dependent and
+/// unpredictable, and a compiler that lowers std::max to a branch there
+/// pays a mispredict on every other slot.
+inline Cycle select_max(Cycle a, Cycle b) {
+  const Cycle b_wins = Cycle{0} - Cycle{a < b};
+  return (a & ~b_wins) | (b & b_wins);
+}
 }  // namespace
 
 Controller::Controller(const Timing& timing, const Geometry& geometry,
@@ -34,9 +39,14 @@ Controller::Controller(const Timing& timing, const Geometry& geometry,
   read_q_.reserve(read_depth_);
   write_q_.reserve(write_depth_);
   completions_.reserve(16);
-  // Escape hatch / A-B switch: COAXIAL_NO_READY_CACHE=1 forces the brute
-  // rescan every tick. Results must be identical either way (the cache only
-  // skips provably fruitless scans); see test_perf_invariants.
+  const std::size_t rank_groups = static_cast<std::size_t>(geometry.ranks) * geometry.bank_groups;
+  shared_[0].assign(rank_groups * 4, 0);
+  shared_[1].assign(rank_groups * 4, 0);
+  update_shared_terms();
+  // Escape hatch / A-B switch: COAXIAL_NO_READY_CACHE=1 forces a
+  // from-scratch window derivation and rescan every tick. Results must be
+  // identical either way (the live window is exact, the caches only skip
+  // provably fruitless scans); see test_perf_invariants.
   ready_cache_enabled_ = !env_flag("COAXIAL_NO_READY_CACHE");
   if (scope.valid()) {
     scope.expose_counter("reads_done", [this] { return stats_.reads_done; });
@@ -90,12 +100,19 @@ bool Controller::enqueue(Addr local_line, bool is_write, Cycle now, std::uint64_
   req.arrival = now;
   req.token = token;
   req.local_line = local_line;
-  (is_write ? write_q_ : read_q_).push_back(req);
+  std::vector<Request>& queue = is_write ? write_q_ : read_q_;
+  queue.push_back(req);
   if (is_write) ++write_lines_[local_line];
-  // A new candidate entered the queue window: the cached next-ready cycle
-  // for that queue no longer bounds it, and neither does the whole-tick
-  // wake bound (drain-mode watermarks also depend on queue depth).
-  queue_ready_[is_write ? 1 : 0] = 0;
+  if (queue.size() <= kScanWindow) {
+    // A new candidate entered the queue window: the cached next-ready cycle
+    // for that queue no longer bounds it. Beyond the window the request is
+    // not a candidate, so the window and its bound are unchanged.
+    const std::uint32_t qi = is_write ? 1 : 0;
+    derive_slot(qi, win_[qi].size++, req);
+    queue_ready_[qi] = 0;
+  }
+  // The whole-tick bound goes either way: drain-mode watermarks depend on
+  // queue depth.
   wake_cache_ = 0;
   return true;
 }
@@ -110,18 +127,20 @@ Cycle Controller::tick(Cycle now) {
   }
   COAXIAL_PROF_SCOPE(kDramTick);
   if (now >= next_refresh_ && !refresh_pending_) {
-    // Arming refresh changes which candidates a scan may consider (ACTs are
-    // suppressed), so cached per-queue bounds from before the transition
-    // no longer mirror a fresh scan. Drop them to keep cached and brute-
-    // force wake bounds bit-identical.
+    // Arming refresh changes which candidates a scan may consider (ACTs and
+    // PREs are suppressed: their shared terms become "never"), so cached
+    // per-queue bounds from before the transition no longer mirror a fresh
+    // scan. Drop them to keep cached and brute-force wake bounds
+    // bit-identical.
     refresh_pending_ = true;
+    update_shared_terms();
     note_command();
   }
   if (refresh_pending_) {
     if (try_refresh(now)) return now + 1;
     // While waiting to close banks for refresh we still allow CAS commands
-    // below, so in-flight row hits drain naturally; ACTs are suppressed by
-    // try_prep's refresh check.
+    // below, so in-flight row hits drain naturally; ACTs and PREs are
+    // suppressed by their shared terms (update_shared_terms).
   }
   if (read_q_.empty() && write_q_.empty()) {
     // Nothing to schedule; opportunistically close idled rows so the next
@@ -154,42 +173,155 @@ Cycle Controller::tick(Cycle now) {
   return compute_wake(now);
 }
 
-Cycle Controller::cas_earliest(const Request& req, bool is_write) const {
-  const Geometry& g = amap_.geometry();
-  const Bank& b = banks_[req.flat_bank];
-  Cycle t = is_write ? b.next_wr : b.next_rd;
-  t = std::max(t, next_cas_rank_[req.coord.rank]);
-  const std::size_t rg = req.rg;
-  t = std::max(t, next_cas_group_[rg]);
+Controller::Pick Controller::scan_window(std::uint32_t qi, Cycle now) {
+  if (!ready_cache_enabled_) {
+    update_shared_terms();
+    rebuild_window(qi);
+  }
+  const Window& w = win_[qi];
+  const Cycle* shared = shared_[qi].data();
+  std::uint32_t hit = 0;
+  std::uint32_t ready = 0;
+  Cycle bound = kNoCycle;
+  static_assert(kScanWindow <= 32, "slot masks are uint32_t");
+  // Youngest slot first, so each mask takes its next bit by a shift of
+  // one and bit i ends up as slot i.
+  for (std::uint32_t i = w.size; i-- > 0;) {
+    const SlotClass cls = w.cls[i];
+    const Cycle t = select_max(w.bank_ready[i], shared[(w.rg[i] << 2) | cls]);
+    hit = (hit << 1) | std::uint32_t{cls == kRowHit};
+    ready = (ready << 1) | std::uint32_t{t <= now};
+    bound = std::min(bound, t);
+  }
+  // FR: the oldest ready row hit; else FCFS: the oldest ready ACT/PRE.
+  const std::uint32_t first_ready = hit & ready;
+  const std::uint32_t pick = first_ready != 0 ? first_ready : ready;
+  return {pick != 0 ? std::countr_zero(pick) : -1, bound};
+}
+
+void Controller::update_shared_terms() {
+  update_cas_terms();
+  for (std::uint32_t rank = 0; rank < next_act_rank_.size(); ++rank) update_act_terms(rank);
+  // ACTs and PREs for new rows are suppressed while a refresh is pending,
+  // and so are their wake candidates: "never". No ACT can issue then, so
+  // only the refresh transitions (which call this) move these entries.
+  const Cycle pre = refresh_pending_ ? kNoCycle : 0;
+  for (std::size_t rg = 0; rg < next_act_group_.size(); ++rg) {
+    for (std::vector<Cycle>& shared : shared_) {
+      shared[(rg << 2) | kRowOther] = pre;
+      if (refresh_pending_) shared[(rg << 2) | kBankClosed] = kNoCycle;
+    }
+  }
+}
+
+void Controller::update_cas_terms() {
   // Rank-to-rank bus turnaround (tCS): switching ranks mid-stream stalls
-  // the shared data bus briefly — the 2DPC bandwidth cost.
-  if (g.ranks > 1 && req.coord.rank != last_cas_rank_) {
-    t = std::max(t, last_cas_end_ + timing_.cs);
+  // the shared data bus briefly — the 2DPC bandwidth cost. One rank never
+  // differs from last_cas_rank_, so no geometry check is needed. Scalars
+  // are read once: the stores below could alias them.
+  const Cycle rank_switch = last_cas_end_ + timing_.cs;
+  const Cycle rd_bus = next_rd_bus_;
+  const Cycle wr_bus = next_wr_bus_;
+  const std::uint32_t last_rank = last_cas_rank_;
+  const std::uint32_t groups = amap_.geometry().bank_groups;
+  Cycle* rd = shared_[0].data();
+  Cycle* wr = shared_[1].data();
+  for (std::uint32_t rank = 0, rg = 0; rank < next_cas_rank_.size(); ++rank) {
+    const Cycle rank_cas = std::max(next_cas_rank_[rank], rank != last_rank ? rank_switch : 0);
+    for (std::uint32_t g = 0; g < groups; ++g, ++rg) {
+      const Cycle cas = std::max(rank_cas, next_cas_group_[rg]);
+      rd[(rg << 2) | kRowHit] = std::max({cas, rd_bus, next_rd_after_wr_group_[rg]});
+      wr[(rg << 2) | kRowHit] = std::max(cas, wr_bus);
+    }
   }
-  if (is_write) {
-    t = std::max(t, next_wr_bus_);
+}
+
+void Controller::update_act_terms(std::uint32_t rank) {
+  // tFAW: at most four ACTs per rank in any window (a zero slot means
+  // "never used").
+  const FawWindow& faw = faw_[rank];
+  const Cycle fourth_act = faw.acts[faw.pos];
+  const Cycle faw_ready = fourth_act != 0 ? fourth_act + timing_.faw : 0;
+  const Cycle rank_act = std::max(next_act_rank_[rank], faw_ready);
+  const std::uint32_t groups = amap_.geometry().bank_groups;
+  Cycle* rd = shared_[0].data();
+  Cycle* wr = shared_[1].data();
+  for (std::uint32_t rg = rank * groups; rg < (rank + 1) * groups; ++rg) {
+    const Cycle act = std::max(rank_act, next_act_group_[rg]);
+    rd[(rg << 2) | kBankClosed] = act;
+    wr[(rg << 2) | kBankClosed] = act;
+  }
+}
+
+void Controller::classify_slot(std::uint32_t qi, std::uint32_t i) {
+  Window& w = win_[qi];
+  const Bank& b = banks_[w.bank[i]];
+  if (b.open_row == w.row[i]) {
+    w.cls[i] = kRowHit;
+    w.bank_ready[i] = qi == 1 ? b.next_wr : b.next_rd;
+  } else if (b.open_row != kClosedRow) {
+    w.cls[i] = kRowOther;
+    w.bank_ready[i] = b.next_pre;
   } else {
-    t = std::max(t, std::max(next_rd_bus_, next_rd_after_wr_group_[rg]));
+    w.cls[i] = kBankClosed;
+    w.bank_ready[i] = b.next_act;
   }
-  return t;
 }
 
-Cycle Controller::prep_earliest(const Request& req) const {
-  const Bank& b = banks_[req.flat_bank];
-  if (b.open && b.row != req.coord.row) return b.next_pre;
-  if (!b.open) {
-    const std::size_t rg = req.rg;
-    Cycle t = std::max(b.next_act, next_act_rank_[req.coord.rank]);
-    t = std::max(t, next_act_group_[rg]);
-    // tFAW: at most four ACTs per rank in any window (slot 0 = "never used").
-    const FawWindow& faw = faw_[req.coord.rank];
-    if (faw.acts[faw.pos] != 0) t = std::max(t, faw.acts[faw.pos] + timing_.faw);
-    return t;
-  }
-  return kNoCycle;  // Open on the right row: the CAS candidate covers it.
+void Controller::derive_slot(std::uint32_t qi, std::uint32_t i, const Request& req) {
+  Window& w = win_[qi];
+  w.bank[i] = static_cast<std::uint16_t>(req.flat_bank);
+  w.rg[i] = static_cast<std::uint16_t>(req.rg);
+  w.row[i] = req.coord.row;
+  classify_slot(qi, i);
 }
 
-Cycle Controller::compute_wake(Cycle now) const {
+void Controller::rederive_bank(std::uint32_t flat_bank) {
+  for (std::uint32_t qi = 0; qi < 2; ++qi) {
+    // Gather the matching slots as a mask first: a compare-and-branch per
+    // slot mispredicts on every scattered match.
+    const Window& w = win_[qi];
+    std::uint32_t on_bank = 0;
+    for (std::uint32_t i = 0; i < w.size; ++i) {
+      on_bank |= std::uint32_t{w.bank[i] == flat_bank} << i;
+    }
+    for (; on_bank != 0; on_bank &= on_bank - 1) {
+      classify_slot(qi, static_cast<std::uint32_t>(std::countr_zero(on_bank)));
+    }
+  }
+}
+
+void Controller::rederive_all() {
+  for (std::uint32_t qi = 0; qi < 2; ++qi) {
+    for (std::uint32_t i = 0; i < win_[qi].size; ++i) classify_slot(qi, i);
+  }
+}
+
+void Controller::rebuild_window(std::uint32_t qi) {
+  const std::vector<Request>& q = qi == 1 ? write_q_ : read_q_;
+  Window& w = win_[qi];
+  w.size = static_cast<std::uint32_t>(std::min<std::size_t>(q.size(), kScanWindow));
+  for (std::uint32_t i = 0; i < w.size; ++i) derive_slot(qi, i, q[i]);
+}
+
+void Controller::erase_slot(std::uint32_t qi, std::uint32_t i) {
+  // Mirrors a queue erase at index i: later slots move up one, and the
+  // request that just entered the window (old queue index kScanWindow)
+  // fills the last slot.
+  Window& w = win_[qi];
+  for (std::uint32_t j = i + 1; j < w.size; ++j) {
+    w.bank_ready[j - 1] = w.bank_ready[j];
+    w.row[j - 1] = w.row[j];
+    w.bank[j - 1] = w.bank[j];
+    w.rg[j - 1] = w.rg[j];
+    w.cls[j - 1] = w.cls[j];
+  }
+  --w.size;
+  const std::vector<Request>& q = qi == 1 ? write_q_ : read_q_;
+  if (q.size() >= kScanWindow) derive_slot(qi, w.size++, q[kScanWindow - 1]);
+}
+
+Cycle Controller::compute_wake(Cycle now) {
   // Every constraint that gated an issue this cycle is a timestamp frozen
   // until the controller acts again, so the min over all candidates is a
   // sound wake-up: nothing can become issueable earlier.
@@ -198,7 +330,7 @@ Cycle Controller::compute_wake(Cycle now) const {
     // Blocked on closing banks (or on their PRE/ACT timing) for refresh.
     bool any_open = false;
     for (const Bank& b : banks_) {
-      if (!b.open) continue;
+      if (b.open_row == kClosedRow) continue;
       any_open = true;
       wake = std::min(wake, std::max(now + 1, b.next_pre));
     }
@@ -210,41 +342,29 @@ Cycle Controller::compute_wake(Cycle now) const {
   } else {
     wake = std::min(wake, std::max(now + 1, next_refresh_));
   }
-  const auto queue_candidates = [&](const std::vector<Request>& q, bool is_write) {
+  const auto queue_bound = [&](std::uint32_t qi) {
     // A still-valid cached bound is exact, not just conservative: it was a
     // min over frozen candidate timestamps, none of which were floored (a
     // floored candidate would have expired the cache), and refresh_pending_
     // cannot have changed inside a validity window (the transition clears
     // the cache). So reuse it instead of rescanning the window.
-    const std::size_t qi = is_write ? 1 : 0;
     if (ready_cache_enabled_ && queue_ready_[qi] != 0 && now < queue_ready_[qi]) {
       wake = std::min(wake, queue_ready_[qi]);
       return;
     }
-    const std::size_t window = std::min(q.size(), kScanWindow);
-    Cycle q_ready = kNoCycle;
-    for (std::size_t i = 0; i < window; ++i) {
-      const Request& req = q[i];
-      const Bank& b = banks_[req.flat_bank];
-      if (b.row_hit(req.coord.row)) {
-        q_ready = std::min(q_ready, std::max(now + 1, cas_earliest(req, is_write)));
-      } else if (!refresh_pending_) {
-        const Cycle t = prep_earliest(req);
-        if (t != kNoCycle) q_ready = std::min(q_ready, std::max(now + 1, t));
-      }
-    }
-    // Cache the per-queue bound: until q_ready (and absent any command or
-    // enqueue, which clear it) a scan of this queue cannot issue anything.
-    queue_ready_[is_write ? 1 : 0] = q_ready;
+    // Until q_ready (and absent any command or in-window enqueue, which
+    // clear it) a scan of this queue cannot issue anything.
+    const Cycle q_ready = std::max(now + 1, scan_window(qi, now).ready);
+    queue_ready_[qi] = q_ready;
     wake = std::min(wake, q_ready);
   };
-  queue_candidates(read_q_, /*is_write=*/false);
-  queue_candidates(write_q_, /*is_write=*/true);
+  queue_bound(0);
+  queue_bound(1);
   if (timing_.idle_precharge != 0 && open_banks_ > 0) {
     if (ready_cache_enabled_ && idle_ready_ != 0) {
-      // Still-valid eligibility bound (bank state unchanged since it was
-      // computed); kNoCycle means "no open bank can become eligible" and
-      // the min is then a no-op.
+      // The exact minimum eligibility (see set_idle_eligible); kNoCycle
+      // means "no open bank can become eligible" and the min is then a
+      // no-op.
       wake = std::min(wake, std::max(now + 1, idle_ready_));
     } else {
       Cycle raw_min = kNoCycle;
@@ -257,6 +377,17 @@ Cycle Controller::compute_wake(Cycle now) const {
   return wake;
 }
 
+void Controller::set_idle_eligible(std::uint32_t flat_bank, Cycle eligible) {
+  const Cycle old = idle_eligible_[flat_bank];
+  idle_eligible_[flat_bank] = eligible;
+  if (idle_ready_ == 0) return;  // Unknown stays unknown.
+  if (eligible <= idle_ready_) {
+    idle_ready_ = eligible;
+  } else if (old == idle_ready_) {
+    idle_ready_ = 0;  // The minimum may have risen: the next scan finds it.
+  }
+}
+
 void Controller::idle_precharge(Cycle now) {
   // Adaptive open-page: close a bank whose open row has been idle, so
   // lightly-loaded (and random) traffic pays ACT+CAS rather than
@@ -264,8 +395,8 @@ void Controller::idle_precharge(Cycle now) {
   // timing_.idle_precharge is 0.
   if (timing_.idle_precharge == 0) return;
   if (open_banks_ == 0) return;
-  // A still-valid eligibility bound (no command has touched bank state since
-  // it was computed) in the future proves this scan would close nothing.
+  // A known minimum eligibility in the future proves this scan would close
+  // nothing.
   if (ready_cache_enabled_ && idle_ready_ != 0 && now < idle_ready_) return;
   // Closed banks sit at kNoCycle in idle_eligible_, so one contiguous pass
   // replaces the open-bank walk over scattered Bank structs; iteration order
@@ -276,12 +407,13 @@ void Controller::idle_precharge(Cycle now) {
     const Cycle eligible = idle_eligible_[i];
     if (eligible <= now) {
       Bank& b = banks_[i];
-      b.open = false;
+      b.open_row = kClosedRow;
       --open_banks_;
-      idle_eligible_[i] = kNoCycle;
+      set_idle_eligible(i, kNoCycle);
       b.next_act = std::max(b.next_act, now + timing_.rp);
       ++stats_.precharges;
       checker_.on_pre(i, now);
+      rederive_bank(i);
       note_command();
       return;  // One command per cycle.
     }
@@ -299,15 +431,16 @@ bool Controller::try_refresh(Cycle now) {
   bool any_open = false;
   for (std::uint32_t i = 0; i < banks_.size(); ++i) {
     Bank& b = banks_[i];
-    if (!b.open) continue;
+    if (b.open_row == kClosedRow) continue;
     any_open = true;
     if (now >= b.next_pre) {
-      b.open = false;
+      b.open_row = kClosedRow;
       --open_banks_;
-      idle_eligible_[i] = kNoCycle;
+      set_idle_eligible(i, kNoCycle);
       b.next_act = std::max(b.next_act, now + timing_.rp);
       ++stats_.precharges;
       checker_.on_pre(i, now);
+      rederive_bank(i);
       note_command();
       return true;  // One command per cycle.
     }
@@ -319,10 +452,12 @@ bool Controller::try_refresh(Cycle now) {
   for (const Bank& b : banks_) ready = std::max(ready, b.next_act);
   if (ready > now) return false;
   for (Bank& b : banks_) b.next_act = now + timing_.rfc;
+  rederive_all();
   ++stats_.refreshes;
   checker_.on_refresh(now, next_refresh_);
   next_refresh_ += timing_.refi;
   refresh_pending_ = false;
+  update_shared_terms();
   note_command();
   return true;
 }
@@ -356,7 +491,7 @@ void Controller::issue_cas(Request& req, bool is_write, Cycle now) {
   if (is_write) {
     const Cycle data_end = now + timing_.cwl + timing_.bl;
     b.next_pre = std::max(b.next_pre, data_end + timing_.wr);
-    idle_eligible_[req.flat_bank] = std::max(b.next_pre, now + timing_.idle_precharge);
+    set_idle_eligible(req.flat_bank, std::max(b.next_pre, now + timing_.idle_precharge));
     // tWTR starts at the end of write data (within the written rank).
     for (std::uint32_t grp = 0; grp < g.bank_groups; ++grp) {
       const Cycle wtr = (grp == req.coord.bank_group) ? timing_.wtr_l : timing_.wtr_s;
@@ -367,7 +502,7 @@ void Controller::issue_cas(Request& req, bool is_write, Cycle now) {
     ++stats_.writes_done;
   } else {
     b.next_pre = std::max(b.next_pre, now + timing_.rtp);
-    idle_eligible_[req.flat_bank] = std::max(b.next_pre, now + timing_.idle_precharge);
+    set_idle_eligible(req.flat_bank, std::max(b.next_pre, now + timing_.idle_precharge));
     next_wr_bus_ = std::max(next_wr_bus_, now + timing_.rtw);
     const Cycle done = now + timing_.cl + timing_.bl;
     const Cycle total = done - req.arrival;
@@ -378,17 +513,18 @@ void Controller::issue_cas(Request& req, bool is_write, Cycle now) {
     stats_.read_queue_delay_sum += static_cast<double>(total - ideal);
     ++stats_.reads_done;
   }
+  update_cas_terms();
 }
 
 void Controller::commit_prep(Request& req, Cycle now) {
-  // Caller established legality via prep_earliest(req) <= now (and no
-  // pending refresh); this is the mutating tail only.
+  // Caller established legality via scan_window (and no pending refresh);
+  // this is the mutating tail only.
   Bank& b = banks_[req.flat_bank];
 
-  if (b.open) {  // Wrong row (right-row banks never reach commit_prep).
-    b.open = false;
+  if (b.open_row != kClosedRow) {  // Wrong row (row hits never get here).
+    b.open_row = kClosedRow;
     --open_banks_;
-    idle_eligible_[req.flat_bank] = kNoCycle;
+    set_idle_eligible(req.flat_bank, kNoCycle);
     b.next_act = std::max(b.next_act, now + timing_.rp);
     ++stats_.precharges;
     checker_.on_pre(req.flat_bank, now);
@@ -400,97 +536,62 @@ void Controller::commit_prep(Request& req, Cycle now) {
   faw.acts[faw.pos] = now;
   faw.pos = (faw.pos + 1) % 4;
 
-  b.open = true;
   ++open_banks_;
-  b.row = req.coord.row;
+  b.open_row = req.coord.row;
   b.next_rd = now + timing_.rcd;
   b.next_wr = now + timing_.rcd;
   b.next_pre = std::max(b.next_pre, now + timing_.ras);
-  idle_eligible_[req.flat_bank] =
-      std::max(b.next_pre, bank_last_use_[req.flat_bank] + timing_.idle_precharge);
+  set_idle_eligible(req.flat_bank,
+                    std::max(b.next_pre, bank_last_use_[req.flat_bank] + timing_.idle_precharge));
   b.next_act = now + timing_.rc();
   next_act_rank_[req.coord.rank] = now + timing_.rrd_s;
   next_act_group_[rg] = now + timing_.rrd_l;
+  update_act_terms(req.coord.rank);
   ++stats_.activates;
   checker_.on_act(req.coord, now);
   req.needed_act = true;
 }
 
 bool Controller::try_issue(std::vector<Request>& queue, bool is_write, Cycle now) {
+  const std::uint32_t qi = is_write ? 1 : 0;
   if (queue.empty()) {
     // Mirror what a scan of the empty window would conclude, so
     // compute_wake's cached reuse sees the same bound a cold scan stores.
-    queue_ready_[is_write ? 1 : 0] = kNoCycle;
+    queue_ready_[qi] = kNoCycle;
     return false;
   }
   // Fast path: a prior failed scan proved nothing in this queue's window can
   // issue before queue_ready_; any invalidating event (command issued,
-  // request enqueued) cleared the cache, so a live bound lets us skip the
-  // rescan without changing any decision.
-  const std::size_t qi = is_write ? 1 : 0;
+  // request enqueued into the window) cleared the cache, so a live bound
+  // lets us skip the rescan without changing any decision.
   if (ready_cache_enabled_ && queue_ready_[qi] != 0 && now < queue_ready_[qi]) {
     return false;
   }
   COAXIAL_PROF_SCOPE(kDramTryIssue);
-  const std::size_t window = std::min(queue.size(), kScanWindow);
-  // The scan accumulates the queue's earliest-possible next command as it
-  // decides; a failed scan therefore leaves a fresh per-queue bound behind
-  // for free, and compute_wake never has to rescan the window.
-  Cycle q_ready = kNoCycle;
-
-  // Pass 1 (FR): oldest row-hit whose CAS can issue right now. A CAS needs
-  // an open row, so with every bank closed the scan cannot find one. The
-  // per-candidate row-hit verdicts are carried into pass 2 as a bitmask
-  // (window <= 16, and no command lands between the passes, so bank state —
-  // and with it every verdict — is frozen): pass 2 then skips its own bank
-  // loads. Zero-initialised, the mask is also right when pass 1 is skipped
-  // outright: no open bank means no row hit anywhere.
-  std::uint32_t hit_mask = 0;
-  static_assert(kScanWindow <= 32, "row-hit mask is a uint32_t");
-  if (open_banks_ > 0) {
-    for (std::size_t i = 0; i < window; ++i) {
-      const Request& cand = queue[i];
-      if (!banks_[cand.flat_bank].row_hit(cand.coord.row)) {
-        continue;
-      }
-      hit_mask |= 1u << i;
-      const Cycle t = cas_earliest(cand, is_write);
-      if (t <= now) {
-        Request req = cand;
-        issue_cas(req, is_write, now);
-        queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(i));
-        if (is_write) {
-          auto it = write_lines_.find(req.local_line);
-          if (it != write_lines_.end() && --it->second == 0) write_lines_.erase(it);
-        }
-        note_command();
-        return true;
-      }
-      q_ready = std::min(q_ready, t);
-    }
+  const Pick pick = scan_window(qi, now);
+  if (pick.slot < 0) {
+    // A failed scan leaves the queue's bound behind for free, so
+    // compute_wake never has to rescan the window.
+    queue_ready_[qi] = pick.ready;
+    return false;
   }
-
-  // Pass 2 (FCFS): oldest request that needs a preparatory ACT/PRE. ACTs
-  // and PREs for new rows are suppressed while a refresh is pending, and
-  // (mirroring that) pending refresh also drops their wake candidates.
-  // With a refresh pending the loop body is all `continue`s (prep wake
-  // candidates are dropped too, mirroring the suppressed commands).
-  if (!refresh_pending_) {
-    for (std::size_t i = 0; i < window; ++i) {
-      Request& req = queue[i];
-      if (hit_mask & (1u << i)) continue;  // Just waiting on CAS timing.
-      const Cycle t = prep_earliest(req);
-      if (t <= now) {
-        commit_prep(req, now);
-        note_command();
-        return true;
-      }
-      q_ready = std::min(q_ready, t);
+  const auto i = static_cast<std::uint32_t>(pick.slot);
+  const std::uint32_t bank = queue[i].flat_bank;
+  if (win_[qi].cls[i] == kRowHit) {
+    Request req = queue[i];
+    issue_cas(req, is_write, now);
+    queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(i));
+    erase_slot(qi, i);
+    if (is_write) {
+      auto it = write_lines_.find(req.local_line);
+      if (it != write_lines_.end() && --it->second == 0) write_lines_.erase(it);
     }
+  } else {
+    commit_prep(queue[i], now);
   }
-
-  queue_ready_[qi] = q_ready;
-  return false;
+  rederive_bank(bank);
+  note_command();
+  return true;
 }
 
 }  // namespace coaxial::dram

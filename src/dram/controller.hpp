@@ -97,9 +97,10 @@ class Controller {
 
   const Timing& timing() const { return timing_; }
 
-  /// Test hook: disable the per-queue next-ready cache so invariant tests
-  /// can compare the cached fast path against the brute-force rescan. The
-  /// cache is a pure scan-skipping device; scheduling decisions must be
+  /// Test hook: disable the ready caches and the live scan window so
+  /// invariant tests can compare the fast path against a from-scratch
+  /// oracle. Off, every tick rescans both windows after re-deriving every
+  /// slot from the banks and the queues. Scheduling decisions must be
   /// identical either way.
   void set_ready_cache(bool on) {
     ready_cache_enabled_ = on;
@@ -120,25 +121,72 @@ class Controller {
     bool needed_pre = false;  ///< A PRE was issued on this request's behalf.
   };
 
+  /// FR-FCFS fairness guard: only the oldest `kScanWindow` entries of a
+  /// queue compete for issue, bounding both starvation and per-tick scan
+  /// cost.
+  static constexpr std::uint32_t kScanWindow = 16;
+
+  /// What a window slot's next command is, given its bank's state.
+  enum SlotClass : std::uint8_t {
+    kRowHit,      ///< Bank open on this row: CAS.
+    kRowOther,    ///< Bank open on another row: PRE.
+    kBankClosed,  ///< ACT.
+  };
+
+  /// Live struct-of-arrays mirror of one queue's scan window (its oldest
+  /// `kScanWindow` requests, slot i = queue index i). The bank-local part
+  /// of each slot's next command — its class and that class's earliest
+  /// cycle on the bank — is derived when the request enters the window and
+  /// re-derived only when a command moves its bank's state; the rank,
+  /// group and bus part is looked up in `shared_` by (rank-group, class).
+  struct Window {
+    Cycle bank_ready[kScanWindow];  ///< Bank-local earliest cycle for `cls`.
+    std::uint32_t row[kScanWindow];
+    std::uint16_t bank[kScanWindow];  ///< Flat bank across ranks.
+    std::uint16_t rg[kScanWindow];    ///< rank * bank_groups + bank_group.
+    SlotClass cls[kScanWindow];
+    std::uint32_t size = 0;  ///< Occupied slots: min(queue size, kScanWindow).
+  };
+
+  /// Outcome of one window scan: the slot to serve now (FR first, then
+  /// FCFS), or -1, plus the earliest cycle any slot could issue (slots
+  /// suppressed by a pending refresh count as never).
+  struct Pick {
+    int slot = -1;
+    Cycle ready = kNoCycle;
+  };
+
   // Scheduling helpers. Each returns true if a command was issued.
   bool try_refresh(Cycle now);
   bool try_issue(std::vector<Request>& queue, bool is_write, Cycle now);
   void issue_cas(Request& req, bool is_write, Cycle now);
   void commit_prep(Request& req, Cycle now);
   void idle_precharge(Cycle now);
+  void set_idle_eligible(std::uint32_t flat_bank, Cycle eligible);
 
-  // Earliest legal cycles for a candidate's next command, as a raw max over
-  // frozen constraint timestamps (no now+1 floor). One computation serves
-  // both the issue decision (earliest <= now) and, on a failed scan, the
-  // wake bound (earliest > now, so the floor would be a no-op anyway) —
-  // keeping the two paths bit-identical by construction instead of by
-  // maintaining hand-written bool/cycle mirrors.
-  Cycle cas_earliest(const Request& req, bool is_write) const;
-  Cycle prep_earliest(const Request& req) const;
+  // The one candidate kernel, shared by issue and wake. Each slot's
+  // earliest cycle is max(its bank term, the shared term of its class), a
+  // raw max over frozen constraint timestamps (no now+1 floor), so one
+  // computation serves both the issue decision (earliest <= now) and, on a
+  // failed scan, the wake bound (earliest > now, where the floor is a
+  // no-op). Under COAXIAL_NO_READY_CACHE it first re-derives the shared
+  // terms and every slot from scratch.
+  Pick scan_window(std::uint32_t qi, Cycle now);
+
+  // Live-window maintenance.
+  void update_shared_terms();
+  void update_cas_terms();
+  void update_act_terms(std::uint32_t rank);
+  void derive_slot(std::uint32_t qi, std::uint32_t i, const Request& req);
+  void classify_slot(std::uint32_t qi, std::uint32_t i);
+  void rederive_bank(std::uint32_t flat_bank);
+  void rederive_all();
+  void rebuild_window(std::uint32_t qi);
+  void erase_slot(std::uint32_t qi, std::uint32_t i);
 
   // Wake-cycle lower bound for the event-driven loop: when could the
   // command that tick() just declined become issueable?
-  Cycle compute_wake(Cycle now) const;
+  Cycle compute_wake(Cycle now);
 
   Timing timing_;
   AddressMap amap_;
@@ -156,6 +204,7 @@ class Controller {
   std::vector<Cycle> idle_eligible_;
   std::vector<Request> read_q_;
   std::vector<Request> write_q_;
+  Window win_[2] = {};  ///< [0] = read_q_'s window, [1] = write_q_'s.
   std::vector<Completion> completions_;
 
   // Rank-level constraint state (indexed by rank, or rank*groups+group).
@@ -171,20 +220,30 @@ class Controller {
     std::uint32_t pos = 0;
   };
   std::vector<FawWindow> faw_;                ///< tFAW window per rank.
+  // The rank, group and bus part of each slot class's earliest cycle, per
+  // queue, indexed (rg << 2) | class: the CAS term (tCCD_S/L, tCS, read/
+  // write turnaround, tWTR for reads) for kRowHit, the ACT term (tRRD_S/L,
+  // tFAW) for kBankClosed, 0 for kRowOther (PRE has no shared term). While
+  // a refresh is pending, ACT and PRE are suppressed and their terms are
+  // kNoCycle. A pure function of the constraint state above and
+  // refresh_pending_, which only issue_cas, an ACT and the two refresh
+  // transitions move, so those sites refresh it.
+  std::vector<Cycle> shared_[2];
   // Shared data bus: rank switches pay tCS after the previous burst.
   Cycle last_cas_end_ = 0;
   std::uint32_t last_cas_rank_ = 0;
 
   std::uint32_t open_banks_ = 0;  ///< Fast gate for idle-precharge scans.
 
-  // Per-queue next-ready cache ([0]=read, [1]=write). When a tick's scan of
-  // a queue issues nothing, compute_wake records the earliest cycle any
-  // window candidate could become issueable; until then — and as long as no
-  // command issues and nothing is enqueued (every such event clears the
-  // cache via note_command/enqueue) — try_issue skips its O(window) rescan.
-  // 0 means "unknown, must scan". Scheduling decisions are unchanged: the
-  // cache only elides scans that provably cannot issue.
-  mutable Cycle queue_ready_[2] = {0, 0};
+  // Per-queue next-ready cache ([0]=read, [1]=write). When a scan of a
+  // queue's window issues nothing, it records the earliest cycle any slot
+  // could become issueable; until then — as long as no command issues and
+  // the window does not change — try_issue skips the scan. A command clears
+  // it (note_command), and so does an enqueue that lands inside the window;
+  // one that lands beyond it leaves the window, and so the bound, as it
+  // was. 0 means "unknown, must scan". Scheduling decisions are unchanged:
+  // the cache only elides scans that provably cannot issue.
+  Cycle queue_ready_[2] = {0, 0};
   // Whole-tick wake cache: compute_wake's result is a min over *every*
   // action the next tick could take (CAS/ACT/PRE candidates in both scan
   // windows, refresh arming and progress, idle-bank precharge), each a
@@ -192,18 +251,20 @@ class Controller {
   // nothing was enqueued, the full tick body is provably a no-op and would
   // return exactly this bound again (every candidate is a genuine future
   // timestamp, unaffected by the now+1 floor), so tick() returns it
-  // directly. 0 means "invalid, run the full tick".
-  mutable Cycle wake_cache_ = 0;
+  // directly. Every enqueue clears it: the drain watermarks depend on
+  // queue depth. 0 means "invalid, run the full tick".
+  Cycle wake_cache_ = 0;
   // Earliest cycle any open bank becomes idle-precharge eligible (raw min
-  // over frozen per-bank state), or kNoCycle when no bank can. Valid until
-  // a command changes bank state; enqueues don't affect it. Lets
-  // idle_precharge() skip its all-banks scan.
-  mutable Cycle idle_ready_ = 0;
+  // over idle_eligible_), or kNoCycle when no bank can. Kept exact through
+  // commands by set_idle_eligible(): a bank whose eligibility falls to or
+  // below it becomes the new minimum, and only raising the bank that held
+  // the minimum makes it unknown again. Enqueues don't affect it. Lets
+  // idle_precharge() skip its all-banks scan. 0 means "unknown, must scan".
+  Cycle idle_ready_ = 0;
   bool ready_cache_enabled_ = true;
   void note_command() {
     queue_ready_[0] = queue_ready_[1] = 0;
     wake_cache_ = 0;
-    idle_ready_ = 0;
   }
 
   /// Lines with a queued write, for O(1) write-to-read forwarding checks

@@ -4,6 +4,7 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include "common/rng.hpp"
 
@@ -25,6 +26,21 @@ Cycle run_until_done(Controller& c, std::uint64_t token, Cycle start, Cycle dead
     c.completions().clear();
   }
   return kNoCycle;
+}
+
+/// The first `n` column-0 lines of `flat_bank` (across ranks), each on a
+/// distinct row other than `avoid_row`.
+std::vector<Addr> bank_lines(const Geometry& g, std::uint32_t flat_bank,
+                             std::uint32_t avoid_row, std::size_t n) {
+  const AddressMap amap(g, g.permutation_interleave);
+  std::vector<Addr> lines;
+  std::set<std::uint32_t> rows;
+  for (Addr cand = 0; lines.size() < n; cand += g.columns) {
+    const Coord c = amap.map(cand);
+    if (c.flat_bank_all(g) != flat_bank || c.row == avoid_row) continue;
+    if (rows.insert(c.row).second) lines.push_back(cand);
+  }
+  return lines;
 }
 
 TEST(DramController, UnloadedReadLatencyIsActPlusCas) {
@@ -291,6 +307,108 @@ TEST(DramController, ActivatesMatchRowMissesPlusConflicts) {
   EXPECT_GT(c.stats().activates, 0u);
   EXPECT_LE(c.stats().activates,
             c.stats().row_misses + c.stats().row_conflicts + c.stats().refreshes + 64);
+}
+
+// The FR-FCFS fairness guard: only the 16 oldest requests of a queue are
+// scheduling candidates. A row hit on the open row, queued behind
+// `conflicts` older requests to other rows of the same bank, is served
+// first only while it sits inside that window.
+std::vector<std::uint64_t> serve_order_behind_conflicts(std::size_t conflicts) {
+  const Timing t;
+  const Geometry g;
+  Controller c(t, g);
+  c.enqueue(0, false, 10, 1000);
+  const Cycle start = run_until_done(c, 1000, 10, 1000);  // Opens line 0's row.
+  const Coord home = AddressMap(g, g.permutation_interleave).map(0);
+  const std::vector<Addr> lines = bank_lines(g, home.flat_bank_all(g), home.row, conflicts);
+  for (std::uint64_t i = 0; i < conflicts; ++i) c.enqueue(lines[i], false, start, i);
+  c.enqueue(1, false, start, 999);  // Next column of the open row.
+  std::vector<std::uint64_t> order;
+  for (Cycle now = start; order.size() < conflicts + 1 && now < start + 100000; ++now) {
+    c.tick(now);
+    for (const auto& comp : c.completions()) order.push_back(comp.token);
+    c.completions().clear();
+  }
+  return order;
+}
+
+TEST(DramScanWindow, RowHitBehindSixteenConflictsWaitsForThem) {
+  const std::vector<std::uint64_t> order = serve_order_behind_conflicts(16);
+  ASSERT_EQ(order.size(), 17u);
+  EXPECT_EQ(order.back(), 999u) << "the row hit overtook the scan window";
+  for (std::uint64_t i = 0; i < 16; ++i) EXPECT_EQ(order[i], i) << "FCFS order";
+}
+
+TEST(DramScanWindow, RowHitInsideWindowIsServedFirst) {
+  // Control for the test above: one fewer conflict puts the hit at queue
+  // index 15, inside the window, and FR serves it first.
+  const std::vector<std::uint64_t> order = serve_order_behind_conflicts(15);
+  ASSERT_EQ(order.size(), 16u);
+  EXPECT_EQ(order.front(), 999u);
+}
+
+TEST(DramScanWindow, SeventeenthRequestEntersWindowOnCasErase) {
+  // Line 0 is activated at cycle 10, then 15 row hits on its row and one
+  // request to a closed bank (queue index 16) arrive. The closed-bank ACT
+  // could issue at once, but it is outside the window until line 0's CAS
+  // (tRCD later) erases the head; it must issue on the very next cycle,
+  // in both the live-window and the from-scratch mode.
+  const Timing t;
+  const Geometry g;
+  const Coord home = AddressMap(g, g.permutation_interleave).map(0);
+  const Addr other = bank_lines(g, (home.flat_bank_all(g) + 1) % g.total_banks(),
+                                kClosedRow, 1)[0];
+  std::vector<Cycle> act_cycles;
+  for (const bool live : {true, false}) {
+    Controller c(t, g);
+    c.set_ready_cache(live);
+    c.enqueue(0, false, 10, 0);
+    c.tick(10);
+    ASSERT_EQ(c.stats().activates, 1u);
+    for (std::uint64_t i = 1; i < 16; ++i) c.enqueue(i, false, 11, i);
+    c.enqueue(other, false, 11, 16);
+    ASSERT_EQ(c.read_queue_size(), 17u);
+    Cycle first_cas = kNoCycle;
+    Cycle second_act = kNoCycle;
+    for (Cycle now = 11; now < 200 && second_act == kNoCycle; ++now) {
+      c.tick(now);
+      if (first_cas == kNoCycle && c.stats().row_hits + c.stats().row_misses > 0) {
+        first_cas = now;
+      }
+      if (c.stats().activates == 2) second_act = now;
+      c.completions().clear();
+    }
+    EXPECT_EQ(first_cas, 10 + t.rcd);
+    EXPECT_EQ(second_act, first_cas + 1) << (live ? "live window" : "from scratch");
+    act_cycles.push_back(second_act);
+  }
+  EXPECT_EQ(act_cycles[0], act_cycles[1]);
+}
+
+TEST(DramScanWindow, EnqueueBeyondWindowLeavesWakeUnchanged) {
+  // 16 conflicts on a freshly activated bank all wait for tRAS; a 17th
+  // request to a closed bank could ACT at once, but at queue index 16 it
+  // is not a candidate, so the tick's wake bound must not move.
+  const Timing t;
+  const Geometry g;
+  const Coord home = AddressMap(g, g.permutation_interleave).map(0);
+  const std::vector<Addr> conflicts =
+      bank_lines(g, home.flat_bank_all(g), home.row, 16);
+  const Addr other = bank_lines(g, (home.flat_bank_all(g) + 1) % g.total_banks(),
+                                kClosedRow, 1)[0];
+  for (const bool live : {true, false}) {
+    Controller c(t, g);
+    c.set_ready_cache(live);
+    c.enqueue(0, false, 1, 1000);
+    Cycle start = 1;
+    while (c.stats().reads_done == 0 && start < 1000) c.tick(start++);  // ACT, CAS.
+    ASSERT_EQ(c.stats().reads_done, 1u);
+    for (std::uint64_t i = 0; i < 16; ++i) c.enqueue(conflicts[i], false, start, i);
+    const Cycle wake = c.tick(start);
+    ASSERT_GT(wake, start + 2) << "window should be blocked on tRAS";
+    ASSERT_TRUE(c.enqueue(other, false, start + 1, 16));
+    EXPECT_EQ(c.tick(start + 1), wake) << (live ? "live window" : "from scratch");
+  }
 }
 
 }  // namespace
