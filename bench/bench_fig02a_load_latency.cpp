@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "bench/common/harness.hpp"
+#include "common/histogram.hpp"
 #include "common/rng.hpp"
 #include "dram/controller.hpp"
 #include "sim/svg_plot.hpp"
@@ -57,19 +58,18 @@ Point run_point(double util, double write_share, coaxial::Cycle cycles) {
 
   Point p;
   p.target_util = util;
-  double busy = 0, reads = 0, lat = 0, p90 = 0, hits = 0, total_cls = 0;
+  double busy = 0, hits = 0, total_cls = 0;
+  FixedHistogram channel = sub[0].read_latency_hist();  // All the channel's reads.
+  channel.merge(sub[1].read_latency_hist());
   for (const auto& s : sub) {
     busy += static_cast<double>(s.stats().data_bus_busy_cycles);
-    reads += static_cast<double>(s.stats().reads_done);
-    lat += s.read_latency_hist().mean() * static_cast<double>(s.read_latency_hist().count());
-    p90 = std::max(p90, static_cast<double>(s.read_latency_hist().percentile(0.90)));
     hits += static_cast<double>(s.stats().row_hits);
     total_cls += static_cast<double>(s.stats().row_hits + s.stats().row_misses +
                                      s.stats().row_conflicts);
   }
   p.achieved_util = busy / (2.0 * static_cast<double>(cycles));
-  p.avg_ns = reads > 0 ? coaxial::kNsPerCycle * lat / reads : 0;
-  p.p90_ns = coaxial::kNsPerCycle * p90;
+  p.avg_ns = coaxial::kNsPerCycle * channel.mean();
+  p.p90_ns = coaxial::kNsPerCycle * static_cast<double>(channel.percentile(0.90));
   p.row_hit_rate = total_cls > 0 ? hits / total_cls : 0;
   p.metrics = registry.snapshot();
   return p;

@@ -11,6 +11,7 @@
 #include <iostream>
 #include <string>
 
+#include "common/histogram.hpp"
 #include "common/rng.hpp"
 #include "dram/controller.hpp"
 #include "link/cxl_link.hpp"
@@ -40,23 +41,20 @@ void explore_dram(double write_share) {
         s.completions().clear();
       }
     }
-    double busy = 0, lat = 0, reads = 0, hits = 0, classified = 0;
-    Cycle p90 = 0, p99 = 0;
+    double busy = 0, hits = 0, classified = 0;
+    FixedHistogram channel = sub[0].read_latency_hist();  // Both sub-channels' reads.
+    channel.merge(sub[1].read_latency_hist());
     for (const auto& s : sub) {
       busy += static_cast<double>(s.stats().data_bus_busy_cycles);
-      reads += static_cast<double>(s.read_latency_hist().count());
-      lat += s.read_latency_hist().mean() *
-             static_cast<double>(s.read_latency_hist().count());
-      p90 = std::max(p90, s.read_latency_hist().percentile(0.90));
-      p99 = std::max(p99, s.read_latency_hist().percentile(0.99));
       hits += static_cast<double>(s.stats().row_hits);
       classified += static_cast<double>(s.stats().row_hits + s.stats().row_misses +
                                         s.stats().row_conflicts);
     }
     table.add_row({report::num(100 * util, 0),
                    report::num(100 * busy / (2 * 400000.0), 1),
-                   report::num(reads > 0 ? kNsPerCycle * lat / reads : 0, 1),
-                   report::num(cycles_to_ns(p90), 1), report::num(cycles_to_ns(p99), 1),
+                   report::num(kNsPerCycle * channel.mean(), 1),
+                   report::num(cycles_to_ns(channel.percentile(0.90)), 1),
+                   report::num(cycles_to_ns(channel.percentile(0.99)), 1),
                    report::num(classified > 0 ? hits / classified : 0, 2)});
   }
   table.print();

@@ -1,14 +1,16 @@
-// Deterministic fixed-bucket histogram for service-latency distributions.
+// Deterministic fixed-bucket histogram: the simulator's one latency
+// distribution type.
 //
-// Unlike LatencyHistogram (1-cycle bins, 16k cap — sized for on-chip
-// memory latencies), FixedHistogram covers the open-loop service range:
-// configurable bucket width and count (default 16 cycles x 4096 buckets
-// ~ 27 us) plus an overflow bucket whose percentile representative is the
-// exact maximum, so saturated load points still report a meaningful p999.
-// Buckets are fixed at construction, values are integers, and merge() is
-// associative and commutative — per-tenant histograms can be combined into
-// per-core or fleet-wide views in any order with identical results, which
-// the svc/* determinism contract relies on.
+// Buckets are fixed at construction: a configurable width and count plus
+// an overflow bucket whose percentile representative is the exact maximum,
+// so saturated load points still report a meaningful p999. The default
+// geometry (16 cycles x 4096 buckets ~ 27 us) covers the open-loop service
+// range; width-1 buckets give exact cycle percentiles (the DRAM read and
+// L2-miss histograms use 1 x 16384 ~ 6.8 us). Values are integers, and
+// merge() is associative and commutative — per-tenant or per-controller
+// histograms can be combined into per-core or fleet-wide views in any
+// order with identical results, which the svc/* determinism contract
+// relies on.
 #pragma once
 
 #include <algorithm>

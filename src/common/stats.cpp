@@ -1,7 +1,6 @@
 #include "common/stats.hpp"
 
 #include <cmath>
-#include <cstdio>
 
 namespace coaxial {
 
@@ -10,19 +9,6 @@ double geomean(const std::vector<double>& xs) {
   double log_sum = 0.0;
   for (double x : xs) log_sum += std::log(x);
   return std::exp(log_sum / static_cast<double>(xs.size()));
-}
-
-double amean(const std::vector<double>& xs) {
-  if (xs.empty()) return 0.0;
-  double sum = 0.0;
-  for (double x : xs) sum += x;
-  return sum / static_cast<double>(xs.size());
-}
-
-std::string fmt(double v, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
-  return buf;
 }
 
 }  // namespace coaxial

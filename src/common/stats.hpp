@@ -1,80 +1,12 @@
-// Statistics primitives: counters, running means, and a latency histogram
-// with percentile queries.
-//
-// The histogram uses fixed-width 1-cycle bins up to a cap and an overflow
-// tail; at 2.4 GHz a 16k-cycle cap covers ~6.8 us, far beyond any memory
-// latency we model, so percentile error is at most half a cycle.
+// Statistics helpers: an epoch rate estimator and geometric-mean
+// aggregation. Latency distributions live in common/histogram.hpp.
 #pragma once
 
-#include <algorithm>
-#include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/units.hpp"
 
 namespace coaxial {
-
-/// Running mean over uint64 samples without storing them.
-class RunningMean {
- public:
-  void add(double v) {
-    sum_ += v;
-    ++n_;
-  }
-  double mean() const { return n_ == 0 ? 0.0 : sum_ / static_cast<double>(n_); }
-  std::uint64_t count() const { return n_; }
-  double sum() const { return sum_; }
-  void reset() { sum_ = 0.0; n_ = 0; }
-
- private:
-  double sum_ = 0.0;
-  std::uint64_t n_ = 0;
-};
-
-/// Fixed-bin histogram for cycle-granularity latency distributions.
-class LatencyHistogram {
- public:
-  explicit LatencyHistogram(std::size_t max_cycles = 16384)
-      : bins_(max_cycles + 1, 0) {}
-
-  void add(Cycle latency) {
-    const std::size_t idx = std::min<std::size_t>(latency, bins_.size() - 1);
-    ++bins_[idx];
-    sum_ += latency;
-    ++count_;
-  }
-
-  std::uint64_t count() const { return count_; }
-
-  double mean() const {
-    return count_ == 0 ? 0.0 : static_cast<double>(sum_) / static_cast<double>(count_);
-  }
-
-  /// Latency (cycles) at quantile q in [0,1]; e.g. q=0.9 for p90.
-  Cycle percentile(double q) const {
-    if (count_ == 0) return 0;
-    const std::uint64_t target =
-        static_cast<std::uint64_t>(q * static_cast<double>(count_ - 1)) + 1;
-    std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < bins_.size(); ++i) {
-      cumulative += bins_[i];
-      if (cumulative >= target) return static_cast<Cycle>(i);
-    }
-    return static_cast<Cycle>(bins_.size() - 1);
-  }
-
-  void reset() {
-    std::fill(bins_.begin(), bins_.end(), 0);
-    sum_ = 0;
-    count_ = 0;
-  }
-
- private:
-  std::vector<std::uint64_t> bins_;
-  std::uint64_t sum_ = 0;
-  std::uint64_t count_ = 0;
-};
 
 /// Epoch-based rate estimator: events per cycle over a sliding epoch.
 /// Used by CALM to estimate filtered/unfiltered memory bandwidth demand.
@@ -110,11 +42,5 @@ class EpochRate {
 
 /// Geometric mean helper for speedup aggregation (paper reports geomeans).
 double geomean(const std::vector<double>& xs);
-
-/// Arithmetic mean helper.
-double amean(const std::vector<double>& xs);
-
-/// Format helper: fixed-precision double to string (no locale surprises).
-std::string fmt(double v, int precision = 2);
 
 }  // namespace coaxial

@@ -14,7 +14,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/stats.hpp"
+#include "common/histogram.hpp"
 #include "common/units.hpp"
 #include "dram/address_map.hpp"
 #include "dram/bank.hpp"
@@ -85,7 +85,7 @@ class Controller {
   void reset_stats() { stats_ = {}; read_hist_.reset(); }
 
   /// Read latency distribution (arrival to data), for load-latency curves.
-  const LatencyHistogram& read_latency_hist() const { return read_hist_; }
+  const FixedHistogram& read_latency_hist() const { return read_hist_; }
 
   /// Shadow timing-invariant checker (tRC/tRCD/tRP/tRAS/tCCD_L/tFAW,
   /// refresh deadlines). Violation counts should always be zero.
@@ -279,7 +279,7 @@ class Controller {
   bool draining_writes_ = false;
 
   ControllerStats stats_;
-  LatencyHistogram read_hist_;
+  FixedHistogram read_hist_{1, 16384};  ///< Cycle-exact up to ~6.8 us.
   TimingChecker checker_;
 };
 

@@ -24,15 +24,6 @@ Gauge& MetricsRegistry::gauge(const std::string& path) {
   return *gauges_.emplace(path, std::make_unique<Gauge>()).first->second;
 }
 
-LatencyHistogram& MetricsRegistry::histogram(const std::string& path,
-                                             std::size_t max_cycles) {
-  auto it = hists_.find(path);
-  if (it != hists_.end()) return *it->second;
-  check_fresh(path);
-  return *hists_.emplace(path, std::make_unique<LatencyHistogram>(max_cycles))
-              .first->second;
-}
-
 void MetricsRegistry::expose(const std::string& path, std::function<double()> probe) {
   check_fresh(path);
   gauge_probes_.emplace(path, std::move(probe));
@@ -45,39 +36,24 @@ void MetricsRegistry::expose_counter(const std::string& path,
 }
 
 void MetricsRegistry::expose_histogram(const std::string& path,
-                                       const LatencyHistogram& hist) {
+                                       const FixedHistogram& hist) {
   check_fresh(path);
   hist_views_.emplace(path, &hist);
 }
 
-void MetricsRegistry::expose_fixed_histogram(const std::string& path,
-                                             const FixedHistogram& hist) {
-  check_fresh(path);
-  fixed_hist_views_.emplace(path, &hist);
-}
-
 bool MetricsRegistry::contains(const std::string& path) const {
   return counters_.count(path) != 0 || gauges_.count(path) != 0 ||
-         hists_.count(path) != 0 || gauge_probes_.count(path) != 0 ||
-         counter_probes_.count(path) != 0 || hist_views_.count(path) != 0 ||
-         fixed_hist_views_.count(path) != 0;
+         gauge_probes_.count(path) != 0 || counter_probes_.count(path) != 0 ||
+         hist_views_.count(path) != 0;
 }
 
 std::size_t MetricsRegistry::size() const {
-  return counters_.size() + gauges_.size() + hists_.size() + gauge_probes_.size() +
-         counter_probes_.size() + hist_views_.size() + fixed_hist_views_.size();
+  return counters_.size() + gauges_.size() + gauge_probes_.size() +
+         counter_probes_.size() + hist_views_.size();
 }
 
 namespace {
-void flatten_hist(Snapshot& out, const std::string& path, const LatencyHistogram& h) {
-  out[path + "/count"] = MetricValue::of(h.count());
-  out[path + "/mean"] = MetricValue::of(h.mean());
-  out[path + "/p50"] = MetricValue::of(static_cast<std::uint64_t>(h.percentile(0.50)));
-  out[path + "/p90"] = MetricValue::of(static_cast<std::uint64_t>(h.percentile(0.90)));
-  out[path + "/p99"] = MetricValue::of(static_cast<std::uint64_t>(h.percentile(0.99)));
-}
-
-void flatten_fixed_hist(Snapshot& out, const std::string& path, const FixedHistogram& h) {
+void flatten_hist(Snapshot& out, const std::string& path, const FixedHistogram& h) {
   out[path + "/count"] = MetricValue::of(h.count());
   out[path + "/mean"] = MetricValue::of(h.mean());
   out[path + "/p50"] = MetricValue::of(h.percentile(0.50));
@@ -94,9 +70,7 @@ Snapshot MetricsRegistry::snapshot() const {
   for (const auto& [path, g] : gauges_) out[path] = MetricValue::of(g->value());
   for (const auto& [path, probe] : counter_probes_) out[path] = MetricValue::of(probe());
   for (const auto& [path, probe] : gauge_probes_) out[path] = MetricValue::of(probe());
-  for (const auto& [path, h] : hists_) flatten_hist(out, path, *h);
   for (const auto& [path, h] : hist_views_) flatten_hist(out, path, *h);
-  for (const auto& [path, h] : fixed_hist_views_) flatten_fixed_hist(out, path, *h);
   return out;
 }
 

@@ -5,13 +5,13 @@
 // register instruments at construction under slash-separated paths
 // ("mem/dram/ctrl00/reads_done"). Three instrument families:
 //
-//  * owned instruments — Counter / Gauge / LatencyHistogram allocated by the
-//    registry and updated directly on the hot path (stable addresses);
+//  * owned instruments — Counter / Gauge allocated by the registry and
+//    updated directly on the hot path (stable addresses);
 //  * probes — callbacks sampled only at snapshot time, used by components
 //    that keep their own internal stats structs (cheap to register, zero
 //    hot-path cost);
-//  * histogram views — a component-owned LatencyHistogram exposed as
-//    count/mean/percentile leaves.
+//  * histogram views — a component-owned FixedHistogram exposed as one
+//    leaf set: count/mean/p50/p90/p99/p999/max.
 //
 // `snapshot()` flattens everything into a deterministic, lexicographically
 // ordered path -> value map, which the JSON emitter (stats_json.hpp) turns
@@ -27,7 +27,6 @@
 #include <utility>
 
 #include "common/histogram.hpp"
-#include "common/stats.hpp"
 
 namespace coaxial::obs {
 
@@ -83,21 +82,16 @@ class MetricsRegistry {
   /// different kind throws std::invalid_argument.
   Counter& counter(const std::string& path);
   Gauge& gauge(const std::string& path);
-  LatencyHistogram& histogram(const std::string& path, std::size_t max_cycles = 16384);
 
   /// Probes: sampled at snapshot time. Duplicate paths throw.
   void expose(const std::string& path, std::function<double()> probe);
   void expose_counter(const std::string& path, std::function<std::uint64_t()> probe);
 
-  /// Expose a component-owned histogram as count/mean/p50/p90/p99 leaves
-  /// under `path`. The histogram must outlive the registry's snapshots.
-  void expose_histogram(const std::string& path, const LatencyHistogram& hist);
-
-  /// Expose a component-owned FixedHistogram as count/mean/p50/p90/p99/
-  /// p999/max leaves under `path` (the service-latency leaf set; the cycle
-  /// percentiles and max are integral, so statdiff compares them exactly).
-  /// The histogram must outlive the registry's snapshots.
-  void expose_fixed_histogram(const std::string& path, const FixedHistogram& hist);
+  /// Expose a component-owned histogram as count/mean/p50/p90/p99/p999/max
+  /// leaves under `path` (the cycle percentiles and max are integral, so
+  /// statdiff compares them exactly). The histogram must outlive the
+  /// registry's snapshots. Duplicate paths throw.
+  void expose_histogram(const std::string& path, const FixedHistogram& hist);
 
   bool contains(const std::string& path) const;
   std::size_t size() const;
@@ -109,11 +103,9 @@ class MetricsRegistry {
 
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<LatencyHistogram>> hists_;
   std::map<std::string, std::function<double()>> gauge_probes_;
   std::map<std::string, std::function<std::uint64_t()>> counter_probes_;
-  std::map<std::string, const LatencyHistogram*> hist_views_;
-  std::map<std::string, const FixedHistogram*> fixed_hist_views_;
+  std::map<std::string, const FixedHistogram*> hist_views_;
 };
 
 /// A (registry, path-prefix) handle passed down component constructors.
@@ -150,10 +142,6 @@ class Scope {
   Gauge* gauge(const std::string& name) const {
     return valid() ? &reg_->gauge(join(name)) : nullptr;
   }
-  LatencyHistogram* histogram(const std::string& name,
-                              std::size_t max_cycles = 16384) const {
-    return valid() ? &reg_->histogram(join(name), max_cycles) : nullptr;
-  }
   void expose(const std::string& name, std::function<double()> probe) const {
     if (valid()) reg_->expose(join(name), std::move(probe));
   }
@@ -161,11 +149,8 @@ class Scope {
                       std::function<std::uint64_t()> probe) const {
     if (valid()) reg_->expose_counter(join(name), std::move(probe));
   }
-  void expose_histogram(const std::string& name, const LatencyHistogram& hist) const {
+  void expose_histogram(const std::string& name, const FixedHistogram& hist) const {
     if (valid()) reg_->expose_histogram(join(name), hist);
-  }
-  void expose_fixed_histogram(const std::string& name, const FixedHistogram& hist) const {
-    if (valid()) reg_->expose_fixed_histogram(join(name), hist);
   }
 
  private:

@@ -461,7 +461,7 @@ void PooledSystem::register_metrics() {
                       [mem, h] { return mem->host_counters(h).invals_received; });
     hs.expose_counter("acks_sent",
                       [mem, h] { return mem->host_counters(h).acks_sent; });
-    hs.expose_fixed_histogram("lat", s->lat);
+    hs.expose_histogram("lat", s->lat);
   }
 
   // RAS observability is opt-in with the fault plan, like sim::System's

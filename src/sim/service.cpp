@@ -11,8 +11,6 @@ namespace coaxial::sim {
 void ServiceConfig::validate() const {
   constexpr const char* kOwner = "sim::ServiceConfig";
   validate::require_nonzero(kOwner, "measure_cycles", measure_cycles);
-  validate::require_nonzero(kOwner, "hist_bucket_cycles", hist_bucket_cycles);
-  validate::require_nonzero(kOwner, "hist_buckets", hist_buckets);
   if (regulate) {
     validate::require_positive(kOwner, "reg_fraction", reg_fraction);
     validate::require_nonzero(kOwner, "reg_burst_cycles", reg_burst_cycles);
@@ -28,10 +26,7 @@ void ServiceConfig::validate() const {
 
 ServiceDriver::ServiceDriver(const sys::SystemConfig& cfg, const ServiceConfig& svc,
                              std::uint64_t seed)
-    : cfg_(cfg),
-      svc_(svc),
-      seed_(seed),
-      all_lat_(svc.hist_bucket_cycles, svc.hist_buckets) {
+    : cfg_(cfg), svc_(svc), seed_(seed) {
   svc_.validate();
   if (!svc_.enabled()) {
     throw std::invalid_argument("ServiceDriver needs at least one tenant");
@@ -49,7 +44,7 @@ ServiceDriver::ServiceDriver(const sys::SystemConfig& cfg, const ServiceConfig& 
 
   tenants_.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    TenantState& t = tenants_.emplace_back(svc_.hist_bucket_cycles, svc_.hist_buckets);
+    TenantState& t = tenants_.emplace_back();
     const workload::ArrivalConfig& a = svc_.tenants[i].arrival;
     const double rate = a.offered_load * peak_bpc / kLineBytes;
     t.gen = std::make_unique<workload::ArrivalGenerator>(a, rate, i, seed_);
@@ -90,7 +85,7 @@ void ServiceDriver::register_metrics() {
     for (const TenantState& t : tenants_) v += t.queue.size();
     return v;
   });
-  all.expose_fixed_histogram("lat", all_lat_);
+  all.expose_histogram("lat", all_lat_);
 
   for (std::uint32_t i = 0; i < tenants_.size(); ++i) {
     // tenants_ is fully built before this loop and never resized after, so
@@ -107,7 +102,7 @@ void ServiceDriver::register_metrics() {
     tn.expose_counter("backlog_at_end", [t] {
       return static_cast<std::uint64_t>(t->queue.size());
     });
-    tn.expose_fixed_histogram("lat", t->lat);
+    tn.expose_histogram("lat", t->lat);
   }
 }
 

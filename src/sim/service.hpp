@@ -64,10 +64,6 @@ struct ServiceConfig {
   double reg_fraction = 0.70;   ///< R as a fraction of peak memory bandwidth.
   Cycle reg_burst_cycles = 8192;  ///< Credit cap, in cycles of fair share.
 
-  /// Latency histogram geometry (cycles). Defaults cover ~27 us.
-  Cycle hist_bucket_cycles = 16;
-  std::uint32_t hist_buckets = 4096;
-
   /// Open-loop mode is on iff at least one tenant is configured.
   bool enabled() const { return !tenants.empty(); }
   void validate() const;
@@ -152,7 +148,6 @@ class ServiceDriver {
     std::uint64_t completed = 0;
     std::uint64_t reg_stall_cycles = 0;
     std::uint64_t bp_stall_cycles = 0;
-    TenantState(Cycle bucket, std::uint32_t buckets) : lat(bucket, buckets) {}
   };
 
   void step(Cycle now);            ///< One cycle: arrivals, admission, tick, drain.

@@ -76,7 +76,7 @@ void System::build_shared_structures() {
   lat_cxl_queue_sum_ = run.gauge("l2_miss/lat_cxl_queue_sum");
   llc_hits_ = run.counter("llc/hits");
   llc_misses_ = run.counter("llc/misses");
-  l2_miss_hist_ = run.histogram("l2_miss/latency_cycles");
+  run.expose_histogram("l2_miss/latency_cycles", l2_miss_hist_);
   // RAS observability is opt-in with the fault plan: the feature-gated
   // Scope is inert for fault-free runs, so the metrics-tree shape (and the
   // golden baseline) is unchanged while registration stays unconditional.
@@ -544,7 +544,7 @@ void System::finish_op(Cycle t, std::uint32_t op_id, bool data_from_memory) {
     // Latency accounting (measurement window only; ops straddling the
     // boundary contribute fully — negligible at the budgets used).
     ops_finished_->inc();
-    l2_miss_hist_->add(t - op.t_start);
+    l2_miss_hist_.add(t - op.t_start);
     lat_total_sum_->add(static_cast<double>(t - op.t_start));
     lat_onchip_sum_->add(static_cast<double>(op.onchip_cycles));
     if (op.t_mem_issued > op.t_mem_attempt && op.t_mem_attempt != 0) {
@@ -752,7 +752,7 @@ void System::reset_window_stats() {
   llc_hits_->reset();
   llc_misses_->reset();
   prefetch_window_base_ = prefetches_issued_;
-  l2_miss_hist_->reset();
+  l2_miss_hist_.reset();
   for (auto& c : cores_) c->reset_window();
   stats_ = RunStats{};
   stats_.calm = calm_->stats();  // Base for the delta at collection.
@@ -771,9 +771,9 @@ void System::collect_window_stats() {
   stats_.llc_hits = llc_hits_->value();
   stats_.llc_misses = llc_misses_->value();
   stats_.prefetches = prefetches_issued_ - prefetch_window_base_;
-  stats_.lat_p50_ns = cycles_to_ns(l2_miss_hist_->percentile(0.50));
-  stats_.lat_p90_ns = cycles_to_ns(l2_miss_hist_->percentile(0.90));
-  stats_.lat_p99_ns = cycles_to_ns(l2_miss_hist_->percentile(0.99));
+  stats_.lat_p50_ns = cycles_to_ns(l2_miss_hist_.percentile(0.50));
+  stats_.lat_p90_ns = cycles_to_ns(l2_miss_hist_.percentile(0.90));
+  stats_.lat_p99_ns = cycles_to_ns(l2_miss_hist_.percentile(0.99));
   stats_.mem = snapshot_delta(memory_->snapshot(), snap_at_window_);
   stats_.calm = calm_delta(calm_->stats(), stats_.calm);
   // Scheduler activity is whole-run (warmup included): skipping happens

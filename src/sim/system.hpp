@@ -28,8 +28,8 @@
 #include "coaxial/calm.hpp"
 #include "coaxial/configs.hpp"
 #include "coaxial/memory_system.hpp"
+#include "common/histogram.hpp"
 #include "common/rng.hpp"
-#include "common/stats.hpp"
 #include "common/units.hpp"
 #include "core/core.hpp"
 #include "noc/mesh.hpp"
@@ -353,7 +353,7 @@ class System : public core::MemoryPort {
   obs::Counter* llc_hits_ = nullptr;
   obs::Counter* llc_misses_ = nullptr;
   std::uint64_t prefetch_window_base_ = 0;
-  LatencyHistogram* l2_miss_hist_ = nullptr;
+  FixedHistogram l2_miss_hist_{1, 16384};  ///< Exposed as run/l2_miss/latency_cycles.
 };
 
 }  // namespace coaxial::sim

@@ -95,6 +95,26 @@ TEST(FixedHistogram, OverflowBucketReportsExactMax) {
   EXPECT_EQ(h.sum(), 71'001u);
 }
 
+TEST(FixedHistogram, CycleExactGeometryReportsTheTailPastItsRange) {
+  // The DRAM read and L2-miss histograms use width-1 buckets over
+  // [0, 16384): every in-range percentile is an exact sample, and a sample
+  // past the range reports itself rather than the range edge.
+  FixedHistogram h(1, 16384);
+  for (std::uint64_t v = 1; v <= 99; ++v) h.add(v);
+  h.add(16383);
+  EXPECT_EQ(h.overflow_count(), 0u);
+  EXPECT_EQ(h.percentile(0.50), 50u);
+  EXPECT_EQ(h.percentile(0.99), 99u);
+  EXPECT_EQ(h.percentile(1.0), 16383u);
+
+  FixedHistogram tail(1, 16384);
+  tail.add(20'000);
+  EXPECT_EQ(tail.overflow_count(), 1u);
+  EXPECT_EQ(tail.percentile(0.99), 20'000u);
+  EXPECT_EQ(tail.percentile(0.999), 20'000u);
+  EXPECT_EQ(tail.max(), 20'000u);
+}
+
 TEST(FixedHistogram, MergeRequiresSameShape) {
   FixedHistogram a(16, 64);
   FixedHistogram b(16, 32);

@@ -43,7 +43,8 @@ TEST(Metrics, CrossKindDuplicateThrows) {
   MetricsRegistry reg;
   reg.counter("x");
   EXPECT_THROW(reg.gauge("x"), std::invalid_argument);
-  EXPECT_THROW(reg.histogram("x"), std::invalid_argument);
+  FixedHistogram h;
+  EXPECT_THROW(reg.expose_histogram("x", h), std::invalid_argument);
   EXPECT_THROW(reg.expose("x", [] { return 0.0; }), std::invalid_argument);
 }
 
@@ -77,18 +78,23 @@ TEST(Metrics, SnapshotIsLexicographicallyOrderedAndTyped) {
 
 TEST(Metrics, HistogramFlattensToSummaryLeaves) {
   MetricsRegistry reg;
-  LatencyHistogram& h = reg.histogram("lat");
-  for (int i = 1; i <= 100; ++i) h.add(static_cast<Cycle>(i));
+  FixedHistogram h(1, 16384);
+  reg.expose_histogram("lat", h);
+  for (std::uint64_t i = 1; i <= 100; ++i) h.add(i);
   const Snapshot s = reg.snapshot();
   EXPECT_EQ(s.at("lat/count").count, 100u);
   EXPECT_NEAR(s.at("lat/mean").value, 50.5, 1.0);
   EXPECT_TRUE(s.at("lat/p50").integral);
   EXPECT_GE(s.at("lat/p99").count, s.at("lat/p50").count);
+  // One leaf set for every histogram: count/mean/p50/p90/p99/p999/max.
+  EXPECT_EQ(s.size(), 7u);
+  EXPECT_EQ(s.at("lat/max").count, 100u);
+  EXPECT_LE(s.at("lat/p999").count, s.at("lat/max").count);
 }
 
 TEST(Metrics, ExposedHistogramViewTracksOwner) {
   MetricsRegistry reg;
-  LatencyHistogram h;
+  FixedHistogram h;
   reg.expose_histogram("view", h);
   EXPECT_EQ(reg.snapshot().at("view/count").count, 0u);
   h.add(5);
@@ -101,9 +107,10 @@ TEST(Metrics, DefaultScopeIsInert) {
   EXPECT_FALSE(s.valid());
   EXPECT_EQ(s.counter("x"), nullptr);
   EXPECT_EQ(s.gauge("x"), nullptr);
-  EXPECT_EQ(s.histogram("x"), nullptr);
+  FixedHistogram h;
   s.expose("x", [] { return 0.0; });          // No-op, must not crash.
   s.expose_counter("x", [] { return 0ull; });
+  s.expose_histogram("x", h);
   EXPECT_FALSE(s.sub("y").valid());
 }
 
@@ -375,14 +382,14 @@ TEST(StatDiff, PoolSubtreeGlobRules) {
 }
 
 TEST(Registry, FixedHistogramViewFlattensTailLeaves) {
-  // expose_fixed_histogram turns a component-owned FixedHistogram into the
-  // service-latency leaf set; the cycle percentiles and max are integral so
-  // statdiff compares them exactly.
+  // expose_histogram turns a component-owned FixedHistogram into the
+  // count/mean/p50/p90/p99/p999/max leaf set; the cycle percentiles and max
+  // are integral so statdiff compares them exactly.
   MetricsRegistry reg;
   FixedHistogram h(1, 2048);
-  reg.expose_fixed_histogram("svc/all/lat", h);
+  reg.expose_histogram("svc/all/lat", h);
   EXPECT_TRUE(reg.contains("svc/all/lat"));
-  EXPECT_THROW(reg.expose_fixed_histogram("svc/all/lat", h), std::invalid_argument);
+  EXPECT_THROW(reg.expose_histogram("svc/all/lat", h), std::invalid_argument);
   for (std::uint64_t v = 1; v <= 1000; ++v) h.add(v);
   const Snapshot snap = reg.snapshot();
   EXPECT_EQ(snap.at("svc/all/lat/count").count, 1000u);

@@ -2,88 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "common/rng.hpp"
-
 namespace coaxial {
 namespace {
-
-TEST(RunningMean, EmptyIsZero) {
-  RunningMean m;
-  EXPECT_EQ(m.mean(), 0.0);
-  EXPECT_EQ(m.count(), 0u);
-}
-
-TEST(RunningMean, ComputesMean) {
-  RunningMean m;
-  for (double v : {1.0, 2.0, 3.0, 4.0}) m.add(v);
-  EXPECT_DOUBLE_EQ(m.mean(), 2.5);
-  EXPECT_EQ(m.count(), 4u);
-  EXPECT_DOUBLE_EQ(m.sum(), 10.0);
-}
-
-TEST(RunningMean, ResetClears) {
-  RunningMean m;
-  m.add(5.0);
-  m.reset();
-  EXPECT_EQ(m.count(), 0u);
-  EXPECT_EQ(m.mean(), 0.0);
-}
-
-TEST(LatencyHistogram, MeanMatchesSamples) {
-  LatencyHistogram h;
-  for (Cycle c : {10u, 20u, 30u}) h.add(c);
-  EXPECT_DOUBLE_EQ(h.mean(), 20.0);
-  EXPECT_EQ(h.count(), 3u);
-}
-
-TEST(LatencyHistogram, PercentileOfConstant) {
-  LatencyHistogram h;
-  for (int i = 0; i < 100; ++i) h.add(42);
-  EXPECT_EQ(h.percentile(0.5), 42u);
-  EXPECT_EQ(h.percentile(0.9), 42u);
-  EXPECT_EQ(h.percentile(0.99), 42u);
-}
-
-TEST(LatencyHistogram, PercentileOfUniform) {
-  LatencyHistogram h;
-  for (Cycle c = 1; c <= 1000; ++c) h.add(c);
-  EXPECT_NEAR(static_cast<double>(h.percentile(0.5)), 500.0, 2.0);
-  EXPECT_NEAR(static_cast<double>(h.percentile(0.9)), 900.0, 2.0);
-  EXPECT_NEAR(static_cast<double>(h.percentile(0.99)), 990.0, 2.0);
-}
-
-TEST(LatencyHistogram, PercentilesAreMonotonic) {
-  LatencyHistogram h;
-  Rng rng(1);
-  for (int i = 0; i < 5000; ++i) h.add(rng.next_below(2000));
-  Cycle prev = 0;
-  for (double q : {0.1, 0.25, 0.5, 0.75, 0.9, 0.99}) {
-    const Cycle p = h.percentile(q);
-    EXPECT_GE(p, prev);
-    prev = p;
-  }
-}
-
-TEST(LatencyHistogram, OverflowBinCapturesLargeValues) {
-  LatencyHistogram h(128);
-  h.add(1'000'000);
-  EXPECT_EQ(h.percentile(0.99), 128u);
-  EXPECT_EQ(h.count(), 1u);
-}
-
-TEST(LatencyHistogram, EmptyPercentileIsZero) {
-  LatencyHistogram h;
-  EXPECT_EQ(h.percentile(0.9), 0u);
-  EXPECT_EQ(h.mean(), 0.0);
-}
-
-TEST(LatencyHistogram, ResetClears) {
-  LatencyHistogram h;
-  h.add(10);
-  h.reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.mean(), 0.0);
-}
 
 TEST(EpochRate, ReportsLastCompletedEpoch) {
   EpochRate r(100);
@@ -110,17 +30,6 @@ TEST(Geomean, KnownValues) {
   EXPECT_DOUBLE_EQ(geomean({4.0, 1.0}), 2.0);
   EXPECT_NEAR(geomean({1.0, 2.0, 4.0}), 2.0, 1e-12);
   EXPECT_EQ(geomean({}), 0.0);
-}
-
-TEST(Amean, KnownValues) {
-  EXPECT_DOUBLE_EQ(amean({1.0, 2.0, 3.0}), 2.0);
-  EXPECT_EQ(amean({}), 0.0);
-}
-
-TEST(Fmt, FormatsPrecision) {
-  EXPECT_EQ(fmt(1.23456, 2), "1.23");
-  EXPECT_EQ(fmt(1.0, 0), "1");
-  EXPECT_EQ(fmt(-2.5, 1), "-2.5");
 }
 
 }  // namespace

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "coaxial/configs.hpp"
 #include "workload/catalog.hpp"
 
@@ -35,6 +39,32 @@ TEST(SystemIntegration, BaselineRunCompletesWithSaneStats) {
   EXPECT_GT(st.bandwidth_utilization(), 0.0);
   EXPECT_LE(st.bandwidth_utilization(), 1.0);
   EXPECT_EQ(st.core_ipc.size(), 12u);
+}
+
+TEST(SystemIntegration, EveryHistogramExportsTheTailLeaves) {
+  // Each DRAM controller's read histogram and the L2-miss histogram export
+  // one leaf set, count/mean/p50/p90/p99/p999/max, with ordered tails.
+  System s(sys::coaxial_4x(), replicate("stream-copy", 12), 42);
+  s.run(4000, 12000);
+  const obs::Snapshot snap = s.metrics().snapshot();
+  std::vector<std::string> hists = {"run/l2_miss/latency_cycles"};
+  for (const auto& [path, value] : snap) {
+    if (path.starts_with("mem/dram/ctrl") && path.ends_with("/read_latency/count")) {
+      hists.push_back(path.substr(0, path.size() - std::string_view("/count").size()));
+    }
+  }
+  ASSERT_GE(hists.size(), 3u);
+  for (const std::string& h : hists) {
+    SCOPED_TRACE(h);
+    ASSERT_EQ(snap.count(h + "/p999"), 1u);
+    ASSERT_EQ(snap.count(h + "/max"), 1u);
+    const std::uint64_t p99 = snap.at(h + "/p99").count;
+    const std::uint64_t p999 = snap.at(h + "/p999").count;
+    const std::uint64_t max = snap.at(h + "/max").count;
+    EXPECT_LE(p99, p999);
+    EXPECT_LE(p999, max);
+    EXPECT_GT(snap.at(h + "/count").count, 0u);
+  }
 }
 
 TEST(SystemIntegration, DeterministicForSameSeed) {
